@@ -57,7 +57,8 @@ def test_perf_topology_object_generate(benchmark):
 
 
 def test_perf_topology_object_converge(benchmark, topo_1k):
-    """Object-solver baseline at 1k AS (shared scale with columnar)."""
+    """``BGPTable`` over the object topology at 1k AS (shared scale with
+    columnar); its committed baseline is the retired object solver."""
     dests = sorted(topo_1k.ases)[:N_CONVERGE_DESTS]
 
     def converge():

@@ -201,8 +201,7 @@ class ReproSession:
             n_hosts: Measurement host pool size.
             **kwargs: Forwarded to
                 :class:`~repro.scenario.run.ScenarioRun`
-                (``mean_interval_s``, ``trailing_buckets``,
-                ``reconverge``).
+                (``mean_interval_s``, ``trailing_buckets``, ``scale``).
 
         Raises:
             ScenarioPlanError: for a malformed spec string.

@@ -135,7 +135,7 @@ def iter_route_summaries(
         bad = [d for d in dest_asns if asn_index[d] < 0]
         raise ValueError(f"unknown destination ASNs: {bad}")
     if index is None:
-        index = build_solver_index(arrays)
+        index = build_solver_index(arrays.relationship_arrays())
     for lo in range(0, len(dest_idx), block):
         chunk = dest_idx[lo: lo + block]
         lens, _nxt, via = converge_block(index, chunk)

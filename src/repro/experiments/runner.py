@@ -80,7 +80,7 @@ from repro.faults import injection
 from repro.faults.plan import FaultPlan
 from repro.obs import clock
 from repro.obs import runtime as obs
-from repro.routing.bgp import ROUTING_JOBS_ENV_VAR
+from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.faults.supervisor import (
     BuildFailure,
     BuildSupervisor,

@@ -31,9 +31,9 @@ Pair = tuple[str, str]
 ARRAY_BACKEND_MIN_HOSTS = 64
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class LinkEstimate:
-    """EWMA estimates for one ordered overlay link.
+    """EWMA estimates for one ordered overlay link (an immutable snapshot).
 
     Attributes:
         rtt_ms: Smoothed round-trip time; NaN until the first success.
@@ -130,16 +130,20 @@ class OverlayState:
             self._samples[i, j] += 1
             return
         est = self._links[pair]
-        est.loss = (1 - a) * est.loss + a * (1.0 if lost else 0.0)
+        rtt = est.rtt_ms
         if not lost:
             if est.usable:
                 sample = rtt_ms
                 if self.clip_factor is not None:
-                    sample = min(sample, self.clip_factor * est.rtt_ms)
-                est.rtt_ms = (1 - a) * est.rtt_ms + a * sample
+                    sample = min(sample, self.clip_factor * rtt)
+                rtt = (1 - a) * rtt + a * sample
             else:
-                est.rtt_ms = rtt_ms
-        est.samples += 1
+                rtt = rtt_ms
+        self._links[pair] = LinkEstimate(
+            rtt_ms=rtt,
+            loss=(1 - a) * est.loss + a * (1.0 if lost else 0.0),
+            samples=est.samples + 1,
+        )
 
     def reset_pair(self, pair: Pair) -> None:
         """Forget a pair's estimate (fresh :class:`LinkEstimate`).

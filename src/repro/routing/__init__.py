@@ -3,18 +3,13 @@
 from repro.routing.bgp import BGPError, BGPRoute, BGPTable
 from repro.routing.columnar import (
     ColumnarRouteTable,
-    ColumnarUnsupported,
     SolverIndex,
     build_solver_index,
     converge_all,
     converge_block,
     igp_matrix,
 )
-from repro.routing.dynamics import (
-    FLAP_WINDOW_S,
-    RouteFlapModel,
-    resolve_secondary,
-)
+from repro.routing.dynamics import FLAP_WINDOW_S, RouteFlapModel
 from repro.routing.forwarding import (
     EgressPolicy,
     ForwardPath,
@@ -30,7 +25,6 @@ __all__ = [
     "BGPRoute",
     "BGPTable",
     "ColumnarRouteTable",
-    "ColumnarUnsupported",
     "EgressPolicy",
     "FLAP_WINDOW_S",
     "ForwardPath",
@@ -49,5 +43,4 @@ __all__ = [
     "converge_block",
     "igp_matrix",
     "link_metric",
-    "resolve_secondary",
 ]

@@ -17,86 +17,38 @@ We model the canonical policy structure of the commercial Internet
   makes "good" paths inexpressible: two stubs of different providers can
   never transit a third stub, and peer-peer-peer paths do not exist.
 
-Two solvers compute the converged routes per destination AS:
+On a valley-free hierarchy the stable state is unique and a single
+three-stage pass computes it: customer routes climb the customer→provider
+hierarchy, cross one peer edge, then descend provider→customer edges.
+:class:`BGPTable` fills its per-destination route store from that
+solver's array kernels (:mod:`repro.routing.columnar`).  Topologies with
+SIBLING adjacencies (which launder any route into the sibling class) or
+customer-provider cycles have no staged schedule and raise
+:class:`BGPError`.
 
-* ``algorithm="gao-rexford"`` (default) — the classic single-pass
-  three-stage solver: customer routes climb the customer→provider
-  hierarchy once (stage 1), cross peer edges once (stage 2), then descend
-  provider→customer edges once (stage 3).  On any valley-free hierarchy
-  this is provably the unique stable state, in O(E) per destination.
-  Topologies with SIBLING adjacencies (which launder any route into the
-  sibling class) or customer-provider cycles transparently fall back to
-  the fixpoint.
-* ``algorithm="fixpoint"`` — the original synchronous relaxation, kept as
-  a reference oracle; ``tests/routing/test_bgp_equivalence.py`` asserts
-  route-for-route identity (including tie-breaks) between the two.
+:func:`converge_fixpoint`, the synchronous relaxation of the same policy,
+stays for the round count behind :meth:`BGPTable.convergence_rounds`; it
+is also the differential tests' route oracle.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 from repro.obs import runtime as obs
-from repro.topology.asys import LOCAL_PREF, Relationship
+from repro.routing.columnar import (
+    BGPError,
+    BGPRoute,
+    ColumnarRouteTable,
+    SolverIndex,
+    build_solver_index,
+    converge_columns,
+    resolve_routing_jobs,
+)
+from repro.topology.asys import Relationship
 from repro.topology.network import Topology
 
-#: Highest relationship-class preference; hoisted so the hot preference
-#: comparison does not recompute ``max(LOCAL_PREF.values())`` per route.
-_MAX_LOCAL_PREF = max(LOCAL_PREF.values())
-
-#: Local-pref of an AS's own prefix (beats every learned route).
-_ORIGIN_PREF = _MAX_LOCAL_PREF + 100
-
-#: Environment variable overriding the worker count for
-#: :meth:`BGPTable.converge_all`; the ``--routing-jobs`` CLI flag sets it
-#: so dataset builders running in pool workers inherit the setting.
-ROUTING_JOBS_ENV_VAR = "REPRO_ROUTING_JOBS"
-
-#: Solver names accepted by :class:`BGPTable`.
-ALGORITHMS = ("gao-rexford", "fixpoint")
-
-
-class BGPError(RuntimeError):
-    """Raised on BGP computation failures (e.g. non-convergence)."""
-
-
-@dataclass(frozen=True, slots=True)
-class BGPRoute:
-    """A route installed at some AS toward a destination AS.
-
-    Attributes:
-        dest: Destination ASN.
-        as_path: ASNs from the route's holder to ``dest``, inclusive of
-            both endpoints.  For the destination itself the path is
-            ``(dest,)``.
-        learned_from: Relationship class of the neighbor the route was
-            learned from; ``None`` for the origin.
-    """
-
-    dest: int
-    as_path: tuple[int, ...]
-    learned_from: Relationship | None
-
-    @property
-    def next_hop(self) -> int:
-        """The neighbor ASN traffic is handed to (== self for the origin)."""
-        return self.as_path[1] if len(self.as_path) > 1 else self.as_path[0]
-
-    @property
-    def local_pref(self) -> int:
-        """Local-preference value of this route."""
-        if self.learned_from is None:
-            return _ORIGIN_PREF  # own prefix beats all
-        return LOCAL_PREF[self.learned_from]
-
-    def preference_key(self) -> tuple[int, int, int]:
-        """Sort key: smaller is more preferred.
-
-        Orders by descending local-pref, ascending AS-path length,
-        ascending next-hop ASN.
-        """
-        return (-self.local_pref, len(self.as_path), self.next_hop)
+#: Relaxation rounds before the fixpoint declares non-convergence.  Any
+#: Gao–Rexford-compliant graph converges in O(diameter) rounds.
+MAX_ROUNDS = 64
 
 
 def _exportable(route: BGPRoute, to_relationship: Relationship) -> bool:
@@ -111,107 +63,97 @@ def _exportable(route: BGPRoute, to_relationship: Relationship) -> bool:
     return route.learned_from in (None, Relationship.CUSTOMER, Relationship.SIBLING)
 
 
-def resolve_routing_jobs(jobs: int | None, n_tasks: int) -> int:
-    """Worker-process count for a batch convergence of ``n_tasks`` dests.
+def converge_fixpoint(topo: Topology, dest: int) -> tuple[dict[int, BGPRoute], int]:
+    """Synchronous relaxation to ``dest``'s stable state.
 
-    Precedence: explicit ``jobs`` argument, then the
-    ``REPRO_ROUTING_JOBS`` environment variable, else 1 (in-process).
-    Values are clamped to ``[1, n_tasks]``.
+    Every round recomputes each AS's best route from the previous
+    round's state.  Handles any relationship mix, siblings included.
+
+    Returns:
+        ``(routes, rounds)``: the ``{holder: route}`` state and the number
+        of rounds it took to stabilize.
+
+    Raises:
+        BGPError: if the destination is unknown or never converges.
     """
-    if n_tasks <= 0:
-        return 1
-    if jobs is None:
-        env = os.environ.get(ROUTING_JOBS_ENV_VAR)
-        if env is None or not env.strip():
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{ROUTING_JOBS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return max(1, min(jobs, n_tasks))
-
-
-def _converge_chunk(
-    topo: Topology, algorithm: str, dests: tuple[int, ...]
-) -> dict[int, dict[int, BGPRoute]]:
-    """Pool-worker task: converge a batch of destinations.
-
-    Module-level (picklable) and pure: results depend only on the
-    topology and destination list, so serial and parallel batch runs are
-    bit-identical.
-    """
-    table = BGPTable(topo, algorithm=algorithm)
-    return {dest: table._converge_impl(dest) for dest in dests}
+    if dest not in topo.ases:
+        raise BGPError(f"unknown destination ASN {dest}")
+    origin = BGPRoute(dest=dest, as_path=(dest,), learned_from=None)
+    best: dict[int, BGPRoute] = {dest: origin}
+    # At the fixpoint every stored as_path is, by construction, consistent
+    # with the next hop's own choice, so AS-level forwarding can follow
+    # either the stored path or the next-hop chain interchangeably.
+    for round_no in range(MAX_ROUNDS):
+        new_best: dict[int, BGPRoute] = {dest: origin}
+        for asn in sorted(topo.ases):
+            if asn == dest:
+                continue
+            candidates: list[BGPRoute] = []
+            for as_link in topo.as_neighbors(asn):
+                neighbor = as_link.other(asn)
+                neighbor_route = best.get(neighbor)
+                if neighbor_route is None:
+                    continue
+                if asn in neighbor_route.as_path:
+                    continue  # loop prevention
+                # How the neighbor sees *us* governs whether it exports.
+                rel_neighbor_to_us = as_link.relationship_from(neighbor)
+                if not _exportable(neighbor_route, rel_neighbor_to_us):
+                    continue
+                # How *we* see the neighbor governs our preference.
+                rel_us_to_neighbor = as_link.relationship_from(asn)
+                candidates.append(
+                    BGPRoute(
+                        dest=dest,
+                        as_path=(asn, *neighbor_route.as_path),
+                        learned_from=rel_us_to_neighbor,
+                    )
+                )
+            if candidates:
+                new_best[asn] = min(candidates, key=BGPRoute.preference_key)
+        if new_best == best:
+            return best, round_no + 1
+        best = new_best
+    raise BGPError(f"BGP did not converge for destination AS{dest}")
 
 
 class BGPTable:
-    """Converged BGP routing state for every (AS, destination AS) pair."""
+    """Converged BGP routing state for every (AS, destination AS) pair.
 
-    #: Relaxation rounds before declaring non-convergence (fixpoint
-    #: oracle only).  Any Gao–Rexford-compliant graph converges in
-    #: O(diameter) rounds.
-    MAX_ROUNDS = 64
+    Routes live in the topology's ``"bgp"`` routing cache: the store
+    ``["routes"]`` maps ``dest -> {holder: BGPRoute}`` and ``["solver"]``
+    holds the solver schedule built from
+    :meth:`~repro.topology.network.Topology.relationship_index`.  Tables
+    built over the same topology share both (results are a pure function
+    of the topology), and every AS-graph mutation drops the bag.
+    """
 
-    def __init__(self, topo: Topology, *, algorithm: str = "gao-rexford") -> None:
+    def __init__(self, topo: Topology) -> None:
         """
         Args:
             topo: The topology to route over.
-            algorithm: ``"gao-rexford"`` for the single-pass three-stage
-                solver (default), ``"fixpoint"`` for the synchronous
-                relaxation oracle.
-
-        Raises:
-            ValueError: on an unknown algorithm name.
         """
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown BGP algorithm {algorithm!r}; choose from {ALGORITHMS}"
-            )
         self._topo = topo
-        self._algorithm = algorithm
-        self._effective: str | None = None
-        # routes[dest][asn] -> best BGPRoute at `asn` toward `dest`.
-        # The store lives in the topology's routing cache (keyed by
-        # solver), so tables built over the same topology share converged
-        # state: results are a pure function of (topology, algorithm),
-        # and the bag is cleared when the topology is mutated.
         self._routes: dict[int, dict[int, BGPRoute]] = topo.routing_cache(
             "bgp"
-        ).setdefault(algorithm, {})
+        ).setdefault("routes", {})
 
     # -- public API --------------------------------------------------------
-
-    @property
-    def algorithm(self) -> str:
-        """The solver requested at construction."""
-        return self._algorithm
-
-    def effective_algorithm(self) -> str:
-        """The solver actually used (``gao-rexford`` may fall back).
-
-        The staged solver requires a sibling-free, cycle-free relationship
-        hierarchy; anything else transparently uses the fixpoint oracle.
-        """
-        if self._effective is None:
-            if self._algorithm == "fixpoint":
-                self._effective = "fixpoint"
-            else:
-                index = self._topo.relationship_index()
-                if index.has_siblings or index.up_order is None:
-                    self._effective = "fixpoint"
-                else:
-                    self._effective = "gao-rexford"
-        return self._effective
 
     def route(self, src_asn: int, dst_asn: int) -> BGPRoute | None:
         """Best route installed at ``src_asn`` toward ``dst_asn``.
 
         Returns None when policy leaves the destination unreachable.
+
+        Raises:
+            BGPError: if the destination is unknown or the hierarchy has
+                siblings or a customer-provider cycle.
         """
         if dst_asn not in self._routes:
-            self._routes[dst_asn] = self._converge(dst_asn)
+            with obs.span("routing.bgp.converge") as sp:
+                sp.set("dest", dst_asn)
+                self._converge([dst_asn], 1)
+            obs.count("routing.bgp.convergences")
         return self._routes[dst_asn].get(src_asn)
 
     def as_path(self, src_asn: int, dst_asn: int) -> tuple[int, ...] | None:
@@ -225,43 +167,39 @@ class BGPTable:
         """Converge every destination in ``dests`` (default: all ASes).
 
         Destinations already converged are skipped.  With ``jobs`` > 1
-        the batch fans out across a ``ProcessPoolExecutor`` (one chunk
-        per worker); the chunk task is pure, so parallel results are
+        the batch is sharded across the shared-memory process pool of
+        :func:`~repro.routing.columnar.converge_columns`; results are
         bit-identical to serial ones.  ``jobs=None`` consults the
         ``REPRO_ROUTING_JOBS`` environment variable, defaulting to 1.
 
         Raises:
-            BGPError: if any destination is unknown or fails to converge.
+            BGPError: if any destination is unknown or the hierarchy has
+                siblings or a customer-provider cycle.
         """
         targets = sorted(self._topo.ases) if dests is None else sorted(set(dests))
         missing = [d for d in targets if d not in self._routes]
         n_jobs = resolve_routing_jobs(jobs, len(missing))
         with obs.span("routing.bgp.converge_all") as sp:
-            sp.set("algorithm", self.effective_algorithm())
             sp.set("destinations", len(targets))
             sp.set("converged", len(missing))
             sp.set("jobs", n_jobs)
-            if n_jobs <= 1:
-                for dest in missing:
-                    self._routes[dest] = self._converge_impl(dest)
-            else:
-                self._converge_parallel(missing, n_jobs)
+            self._converge(missing, n_jobs)
         obs.count("routing.bgp.batch_convergences", len(missing))
 
     def convergence_rounds(self, dest: int) -> int:
         """Synchronous relaxation rounds until ``dest``'s routes stabilize.
 
-        Runs the fixpoint oracle regardless of the configured algorithm
-        (the staged solver is single-pass and has no notion of rounds) and
-        does not touch the shared route store.  The scenario layer uses
-        this as a deterministic proxy for BGP reconvergence time after a
-        failure: real BGP paces updates by the MRAI timer, so wall-clock
-        time-to-repair scales with the number of rounds.
+        Runs :func:`converge_fixpoint` (the staged solver is single-pass
+        and has no notion of rounds) and does not touch the shared route
+        store.  The scenario layer uses this as a deterministic proxy for
+        BGP reconvergence time after a failure: real BGP paces updates by
+        the MRAI timer, so wall-clock time-to-repair scales with the
+        number of rounds.
 
         Raises:
             BGPError: if the destination is unknown or never converges.
         """
-        _best, rounds = self._converge_rounds(dest)
+        _routes, rounds = converge_fixpoint(self._topo, dest)
         return rounds
 
     def reachable_fraction(self) -> float:
@@ -284,177 +222,25 @@ class BGPTable:
 
     # -- convergence -------------------------------------------------------
 
-    def _converge(self, dest: int) -> dict[int, BGPRoute]:
-        """Run the solver for one destination, under a tracing span."""
-        with obs.span("routing.bgp.converge") as sp:
-            sp.set("dest", dest)
-            sp.set("algorithm", self.effective_algorithm())
-            best = self._converge_impl(dest)
-        obs.count("routing.bgp.convergences")
-        return best
+    def _solver(self) -> SolverIndex:
+        """The solver schedule of the topology's current AS graph."""
+        bag = self._topo.routing_cache("bgp")
+        index = bag.get("solver")
+        if index is None:
+            index = bag["solver"] = build_solver_index(self._topo.relationship_index())
+        return index
 
-    def _converge_impl(self, dest: int) -> dict[int, BGPRoute]:
-        """Solver dispatch without instrumentation (shared by batch mode)."""
-        if self.effective_algorithm() == "gao-rexford":
-            return self._converge_stages(dest)
-        best, _rounds = self._converge_rounds(dest)
-        return best
-
-    def _converge_parallel(self, dests: list[int], n_jobs: int) -> None:
-        """Fan a destination batch across worker processes."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [tuple(dests[i::n_jobs]) for i in range(n_jobs)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_converge_chunk, self._topo, self._algorithm, chunk)
-                for chunk in chunks
-            ]
-            for future in futures:
-                self._routes.update(future.result())
-
-    # -- three-stage Gao-Rexford solver ------------------------------------
-
-    # hotpath
-    def _converge_stages(self, dest: int) -> dict[int, BGPRoute]:
-        """Single-pass solver: up the hierarchy, across peers, back down.
-
-        Correctness sketch (classic Gao–Rexford argument): with the
-        customer > peer > provider preference and valley-free export, an
-        AS's stable route is customer-learned whenever any customer route
-        exists, so uphill-exportable routes are exactly the stage-1
-        routes; peer-learned routes extend those across one peer edge
-        (peer routes are never re-exported to peers); provider-learned
-        routes descend from each AS's final choice.  Each stage's
-        dependency order is acyclic (the customer DAG, one edge, the
-        reversed DAG), so the computed state is the unique stable one —
-        the same state the synchronous fixpoint converges to, with
-        identical (local-pref, path length, next-hop ASN) tie-breaking.
-        """
-        topo = self._topo
-        if dest not in topo.ases:
-            raise BGPError(f"unknown destination ASN {dest}")
-        index = topo.relationship_index()
-        assert index.up_order is not None  # guaranteed by effective_algorithm()
-        origin = BGPRoute(dest=dest, as_path=(dest,), learned_from=None)
-        # `best` holds only uphill-exportable routes until stage 2 merges.
-        best: dict[int, BGPRoute] = {dest: origin}
-        customers = index.customers
-        peers = index.peers
-        providers = index.providers
-        # Stage 1 — customer routes climb customer→provider edges.  The
-        # order guarantees every customer's route is final before any of
-        # its providers look at it.
-        for asn in index.up_order:
-            if asn == dest:
-                continue
-            chosen: BGPRoute | None = None
-            chosen_key: tuple[int, int] | None = None
-            for nb in customers.get(asn, ()):
-                learned = best.get(nb)
-                if learned is None or asn in learned.as_path:
-                    continue
-                key = (len(learned.as_path), nb)
-                if chosen_key is None or key < chosen_key:
-                    chosen_key = key
-                    chosen = learned
-            if chosen is not None:
-                best[asn] = BGPRoute(
-                    dest=dest,
-                    as_path=(asn, *chosen.as_path),
-                    learned_from=Relationship.CUSTOMER,
-                )
-        # Stage 2 — one exchange across peer edges.  Candidates read only
-        # stage-1 state (peer routes are not exportable to peers), so the
-        # results are collected before merging.
-        peer_routes: dict[int, BGPRoute] = {}
-        for asn, asn_peers in peers.items():
-            if asn == dest or asn in best:
-                continue
-            chosen = None
-            chosen_key = None
-            for nb in asn_peers:
-                learned = best.get(nb)
-                if learned is None or asn in learned.as_path:
-                    continue
-                key = (len(learned.as_path), nb)
-                if chosen_key is None or key < chosen_key:
-                    chosen_key = key
-                    chosen = learned
-            if chosen is not None:
-                peer_routes[asn] = BGPRoute(
-                    dest=dest,
-                    as_path=(asn, *chosen.as_path),
-                    learned_from=Relationship.PEER,
-                )
-        best.update(peer_routes)
-        # Stage 3 — routes descend provider→customer edges; providers are
-        # finalized before their customers (reversed stage-1 order), and
-        # an AS with a customer or peer route never takes a provider one.
-        for asn in reversed(index.up_order):
-            if asn == dest or asn in best:
-                continue
-            chosen = None
-            chosen_key = None
-            for nb in providers.get(asn, ()):
-                learned = best.get(nb)
-                if learned is None or asn in learned.as_path:
-                    continue
-                key = (len(learned.as_path), nb)
-                if chosen_key is None or key < chosen_key:
-                    chosen_key = key
-                    chosen = learned
-            if chosen is not None:
-                best[asn] = BGPRoute(
-                    dest=dest,
-                    as_path=(asn, *chosen.as_path),
-                    learned_from=Relationship.PROVIDER,
-                )
-        return best
-
-    # -- fixpoint oracle ---------------------------------------------------
-
-    def _converge_rounds(self, dest: int) -> tuple[dict[int, BGPRoute], int]:
-        """The fixpoint iteration; returns (state, rounds to converge)."""
-        topo = self._topo
-        if dest not in topo.ases:
-            raise BGPError(f"unknown destination ASN {dest}")
-        origin = BGPRoute(dest=dest, as_path=(dest,), learned_from=None)
-        best: dict[int, BGPRoute] = {dest: origin}
-        # Synchronous rounds recomputed from the previous round's state: at
-        # the fixpoint every stored as_path is, by construction, consistent
-        # with the next hop's own choice, so AS-level forwarding can follow
-        # either the stored path or the next-hop chain interchangeably.
-        for round_no in range(self.MAX_ROUNDS):
-            new_best: dict[int, BGPRoute] = {dest: origin}
-            for asn in sorted(topo.ases):
-                if asn == dest:
-                    continue
-                candidates: list[BGPRoute] = []
-                for as_link in topo.as_neighbors(asn):
-                    neighbor = as_link.other(asn)
-                    neighbor_route = best.get(neighbor)
-                    if neighbor_route is None:
-                        continue
-                    if asn in neighbor_route.as_path:
-                        continue  # loop prevention
-                    # How the neighbor sees *us* governs whether it exports.
-                    rel_neighbor_to_us = as_link.relationship_from(neighbor)
-                    if not _exportable(neighbor_route, rel_neighbor_to_us):
-                        continue
-                    # How *we* see the neighbor governs our preference.
-                    rel_us_to_neighbor = as_link.relationship_from(asn)
-                    candidates.append(
-                        BGPRoute(
-                            dest=dest,
-                            as_path=(asn, *neighbor_route.as_path),
-                            learned_from=rel_us_to_neighbor,
-                        )
-                    )
-                if candidates:
-                    new_best[asn] = min(candidates, key=BGPRoute.preference_key)
-            if new_best == best:
-                return best, round_no + 1
-            best = new_best
-        raise BGPError(f"BGP did not converge for destination AS{dest}")
+    def _converge(self, dests: list[int], jobs: int) -> None:
+        """Run the kernels for ``dests`` and store one table per destination."""
+        if not dests:
+            return
+        for dest in dests:
+            if dest not in self._topo.ases:
+                raise BGPError(f"unknown destination ASN {dest}")
+        index = self._solver()
+        dest_idx = index.asn_index[dests]
+        table = ColumnarRouteTable(
+            index, dest_idx, *converge_columns(index, dest_idx, jobs=jobs)
+        )
+        for dest in dests:
+            self._routes[dest] = table.routes(dest)

@@ -1,9 +1,11 @@
-"""Vectorized Gao-Rexford convergence over columnar topologies.
+"""The Gao-Rexford route engine: CSR kernels over typed AS arrays.
 
-The object solver (:meth:`repro.routing.bgp.BGPTable._converge_stages`)
-walks Python dicts AS-by-AS; at Internet scale that is millions of dict
-probes per destination.  This module runs the same three-stage solver as
-array kernels over a :class:`~repro.topology.columnar.TopologyArrays`:
+Every BGP route in the project comes from this module.  It runs the
+classic single-pass three-stage solver (customer routes climb the
+customer->provider hierarchy, cross one peer edge, then descend
+provider->customer edges) as array kernels over the
+:class:`~repro.topology.relationships.RelationshipArrays` index that both
+topology representations build:
 
 * destinations are processed in *blocks* of width ``D`` — route state is
   a pair of ``(n_as, D)`` arrays (path length + next-hop index), one
@@ -11,40 +13,117 @@ array kernels over a :class:`~repro.topology.columnar.TopologyArrays`:
 * each stage is a handful of ``np.minimum.reduceat`` reductions over
   precomputed edge groupings.  Candidate routes are packed into a single
   int64 key ``(path_len << 32) | neighbor_asn``, so the reduction's
-  minimum *is* the object solver's ``(len(as_path), neighbor_asn)``
-  tie-break;
+  minimum *is* the decision process's ``(AS-path length, next-hop ASN)``
+  tie-break within a local-pref class;
 * stage 1 processes providers grouped by customer-DAG level (all
   customers of a level-``L`` provider live at levels ``< L``, so one
   reduceat per level band sees only final state), stage 2 is a single
   reduction over peer edges against the stage-1 snapshot, stage 3
   descends provider->customer edges grouped by provider-DAG level.
 
-On an acyclic, sibling-free hierarchy the object solver's per-candidate
-loop check (``asn in learned.as_path``) can never bind — stage-1 paths
-climb strictly increasing levels, stage-2/3 adopters are routeless while
-every AS on a candidate path is routed — so the kernels need no loop
-detection and no post-hoc verification.  Siblings or provider cycles
-raise :class:`ColumnarUnsupported`; callers fall back to the object
-fixpoint, exactly as ``BGPTable.effective_algorithm()`` does.
+On an acyclic, sibling-free hierarchy a per-candidate loop check can
+never bind — stage-1 paths climb strictly increasing levels, stage-2/3
+adopters are routeless while every AS on a candidate path is routed — so
+the kernels need no loop detection.  Siblings or provider cycles have no
+such schedule and raise :class:`BGPError`.
 
-``converge_all_sharded`` fans destination blocks across a process pool
+:func:`converge_columns` fans destination blocks across a process pool
 with the route table in ``multiprocessing.shared_memory``: workers write
 disjoint column slices in place and return ``None``, so per-destination
-results are never pickled.  Differential tests hold all of this
-route-for-route identical to the object backend at seed scales.
+results are never pickled.  :class:`~repro.routing.bgp.BGPTable` reads
+the kernels through per-destination route dicts; :func:`converge_all`
+keeps the table columnar for :class:`TopologyArrays` at scale.  The
+fixpoint relaxation in :mod:`repro.routing.bgp` is the differential
+tests' oracle.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs import runtime as obs
 
-from repro.routing.bgp import BGPRoute, resolve_routing_jobs
-from repro.topology.asys import Relationship
-from repro.topology.columnar import TopologyArrays
+from repro.routing.igp import shortest_paths
+from repro.topology.asys import LOCAL_PREF, IGPStyle, Relationship
+from repro.topology.columnar import IGP_CODES, TopologyArrays
+from repro.topology.relationships import RelationshipArrays
+
+#: Local-pref of an AS's own prefix (beats every learned route).
+_ORIGIN_PREF = max(LOCAL_PREF.values()) + 100
+
+#: Environment variable overriding the worker count for batch
+#: convergence; the ``--routing-jobs`` CLI flag sets it so dataset
+#: builders running in pool workers inherit the setting.
+ROUTING_JOBS_ENV_VAR = "REPRO_ROUTING_JOBS"
+
+
+class BGPError(RuntimeError):
+    """Raised on BGP computation failures (unknown destination, a
+    hierarchy the solver cannot order, non-convergence)."""
+
+
+@dataclass(frozen=True, slots=True)
+class BGPRoute:
+    """A route installed at some AS toward a destination AS.
+
+    Attributes:
+        dest: Destination ASN.
+        as_path: ASNs from the route's holder to ``dest``, inclusive of
+            both endpoints.  For the destination itself the path is
+            ``(dest,)``.
+        learned_from: Relationship class of the neighbor the route was
+            learned from; ``None`` for the origin.
+    """
+
+    dest: int
+    as_path: tuple[int, ...]
+    learned_from: Relationship | None
+
+    @property
+    def next_hop(self) -> int:
+        """The neighbor ASN traffic is handed to (== self for the origin)."""
+        return self.as_path[1] if len(self.as_path) > 1 else self.as_path[0]
+
+    @property
+    def local_pref(self) -> int:
+        """Local-preference value of this route."""
+        if self.learned_from is None:
+            return _ORIGIN_PREF  # own prefix beats all
+        return LOCAL_PREF[self.learned_from]
+
+    def preference_key(self) -> tuple[int, int, int]:
+        """Sort key: smaller is more preferred.
+
+        Orders by descending local-pref, ascending AS-path length,
+        ascending next-hop ASN.
+        """
+        return (-self.local_pref, len(self.as_path), self.next_hop)
+
+
+def resolve_routing_jobs(jobs: int | None, n_tasks: int) -> int:
+    """Worker-process count for a batch of ``n_tasks`` convergence tasks.
+
+    Precedence: explicit ``jobs`` argument, then the
+    ``REPRO_ROUTING_JOBS`` environment variable, else 1 (in-process).
+    Values are clamped to ``[1, n_tasks]``.
+    """
+    if n_tasks <= 0:
+        return 1
+    if jobs is None:
+        env = os.environ.get(ROUTING_JOBS_ENV_VAR)
+        if env is None or not env.strip():
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{ROUTING_JOBS_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
+    return max(1, min(jobs, n_tasks))
+
 
 #: Path-length sentinel for "no route"; real lengths are <= n_as + 1.
 #: Packed keys are ``len << 32 | asn`` so the sentinel must stay well
@@ -66,10 +145,6 @@ _VIA_RELATIONSHIP = {
     VIA_PEER: Relationship.PEER,
     VIA_PROVIDER: Relationship.PROVIDER,
 }
-
-
-class ColumnarUnsupported(RuntimeError):
-    """The hierarchy needs the fixpoint oracle (siblings or a cycle)."""
 
 
 def _gather_csr(
@@ -94,10 +169,11 @@ def _gather_csr(
 
 @dataclass(frozen=True)
 class SolverIndex:
-    """Edge groupings precomputed once per topology for the block solver.
+    """Edge groupings precomputed once per AS graph for the block solver.
 
     Attributes:
-        arrays: The topology being solved.
+        asn: ASN of each AS index.
+        asn_index: Dense ASN -> AS-index lookup.
         s1_owners / s1_edges / s1_starts / s1_bands: Stage-1 schedule —
             providers with customers, ordered by customer-DAG level;
             their concatenated customer lists; per-owner offsets; and
@@ -109,7 +185,8 @@ class SolverIndex:
             their provider lists.
     """
 
-    arrays: TopologyArrays
+    asn: np.ndarray
+    asn_index: np.ndarray
     s1_owners: np.ndarray
     s1_edges: np.ndarray
     s1_starts: np.ndarray
@@ -140,19 +217,23 @@ def _banded_schedule(
     return owners, edges, starts, bands
 
 
-def build_solver_index(arrays: TopologyArrays) -> SolverIndex:
-    """Precompute the staged-solver schedule for ``arrays``.
+def build_solver_index(rel: RelationshipArrays) -> SolverIndex:
+    """Precompute the staged-solver schedule for one relationship index.
 
     Raises:
-        ColumnarUnsupported: when the hierarchy has siblings or a
-            customer/provider cycle — callers must fall back to the
-            object fixpoint oracle.
+        BGPError: when the hierarchy has SIBLING adjacencies or a
+            customer/provider cycle — neither has a staged schedule.
     """
-    rel = arrays.relationship_arrays()
     if rel.has_siblings:
-        raise ColumnarUnsupported("sibling relationships need the fixpoint oracle")
-    if len(rel.levels) and rel.levels[0] == -1 and rel.levels.max() == -1:
-        raise ColumnarUnsupported("cyclic provider hierarchy needs the fixpoint oracle")
+        raise BGPError(
+            "SIBLING adjacencies are not supported: the Gao-Rexford "
+            "solver needs a customer/provider/peer hierarchy"
+        )
+    if not rel.acyclic:
+        raise BGPError(
+            "customer-provider cycle: the Gao-Rexford solver needs an "
+            "acyclic provider hierarchy"
+        )
     s1_owners, s1_edges, s1_starts, s1_bands = _banded_schedule(
         rel.customers_indptr, rel.customers, rel.levels
     )
@@ -163,7 +244,8 @@ def build_solver_index(arrays: TopologyArrays) -> SolverIndex:
         rel.providers_indptr, rel.providers, rel.down_levels
     )
     return SolverIndex(
-        arrays=arrays,
+        asn=rel.asn,
+        asn_index=rel.asn_index,
         s1_owners=s1_owners,
         s1_edges=s1_edges,
         s1_starts=s1_starts,
@@ -225,12 +307,11 @@ def converge_block(
         next-hop AS index (the destination row points at itself), and
         the provenance code (``VIA_*``).
     """
-    arrays = index.arrays
-    n = arrays.n_as
+    n = len(index.asn)
     dest_idx = np.asarray(dest_idx, dtype=np.int64)
     d = len(dest_idx)
-    asn = arrays.as_asn
-    asn_index = arrays.asn_index()
+    asn = index.asn
+    asn_index = index.asn_index
     lens = np.full((n, d), SENTINEL_LEN, dtype=np.int64)
     nxt = np.full((n, d), -1, dtype=np.int64)
     via = np.full((n, d), VIA_NONE, dtype=np.int8)
@@ -277,25 +358,25 @@ def converge_block(
 class ColumnarRouteTable:
     """Converged routes for an explicit destination list, array-backed.
 
-    The columnar analog of a fully-converged
-    :class:`~repro.routing.bgp.BGPTable` slice: state is three
-    ``(n_as, n_dest)`` arrays instead of nested dicts.  ``route()`` /
-    ``as_path()`` materialize individual :class:`BGPRoute` objects on
-    demand (following the next-hop chain, which is exact because every
-    stored route references its neighbor's final choice).
+    State is three ``(n_as, n_dest)`` arrays instead of nested dicts.
+    ``route()`` / ``as_path()`` materialize individual :class:`BGPRoute`
+    objects on demand and ``routes()`` a whole destination's
+    (following the next-hop chain, which is exact because every stored
+    route references its neighbor's final choice).
     """
 
     def __init__(
         self,
-        arrays: TopologyArrays,
+        index: SolverIndex,
         dest_idx: np.ndarray,
         lens: np.ndarray,
         nxt: np.ndarray,
         via: np.ndarray,
     ) -> None:
-        self._arrays = arrays
+        self._asn = index.asn
+        self._asn_index = index.asn_index
         self._dest_idx = dest_idx
-        self._col = {int(arrays.as_asn[d]): j for j, d in enumerate(dest_idx)}
+        self._col = {int(index.asn[d]): j for j, d in enumerate(dest_idx)}
         self.lens = lens
         self.next_idx = nxt
         self.via = via
@@ -303,21 +384,20 @@ class ColumnarRouteTable:
     @property
     def dest_asns(self) -> list[int]:
         """Destination ASNs, in table column order."""
-        return [int(self._arrays.as_asn[d]) for d in self._dest_idx]
+        return [int(self._asn[d]) for d in self._dest_idx]
 
     def as_path(self, src_asn: int, dst_asn: int) -> tuple[int, ...] | None:
         """AS-level path from ``src_asn`` to ``dst_asn``, or None."""
-        arrays = self._arrays
         col = self._col[dst_asn]
-        src = int(arrays.asn_index()[src_asn])
+        src = int(self._asn_index[src_asn])
         if src < 0 or self.via[src, col] == VIA_NONE:
             return None
-        path = [int(arrays.as_asn[src])]
+        path = [int(self._asn[src])]
         node = src
         dest = int(self._dest_idx[col])
         while node != dest:
             node = int(self.next_idx[node, col])
-            path.append(int(arrays.as_asn[node]))
+            path.append(int(self._asn[node]))
         return tuple(path)
 
     def route(self, src_asn: int, dst_asn: int) -> BGPRoute | None:
@@ -326,18 +406,73 @@ class ColumnarRouteTable:
         if path is None:
             return None
         col = self._col[dst_asn]
-        src = int(self._arrays.asn_index()[src_asn])
+        src = int(self._asn_index[src_asn])
         return BGPRoute(
             dest=dst_asn,
             as_path=path,
             learned_from=_VIA_RELATIONSHIP[int(self.via[src, col])],
         )
 
+    def routes(self, dst_asn: int) -> dict[int, BGPRoute]:
+        """Every route toward ``dst_asn`` as ``{holder ASN: BGPRoute}``.
+
+        Holders are materialized in ascending path length, so each next
+        hop's path exists before the holders that extend it.
+        """
+        col = self._col[dst_asn]
+        lens = self.lens[:, col]
+        via = self.via[:, col]
+        routed = np.nonzero(via != VIA_NONE)[0]
+        order = routed[np.argsort(lens[routed], kind="stable")].tolist()
+        asn = self._asn.tolist()
+        next_hop = self.next_idx[:, col].tolist()
+        learned = via.tolist()
+        paths: dict[int, tuple[int, ...]] = {}
+        routes: dict[int, BGPRoute] = {}
+        for i in order:
+            hop = next_hop[i]
+            path = (asn[i],) if hop == i else (asn[i], *paths[hop])
+            paths[i] = path
+            routes[asn[i]] = BGPRoute(
+                dest=dst_asn,
+                as_path=path,
+                learned_from=_VIA_RELATIONSHIP[learned[i]],
+            )
+        return routes
+
 
 #: Default destination-block width: bounds per-block scratch to
 #: ``O(n_as * block)`` while keeping the reductions wide enough to
 #: amortize kernel launches.
 DEFAULT_BLOCK = 128
+
+
+def converge_columns(
+    index: SolverIndex,
+    dest_idx: np.ndarray,
+    *,
+    jobs: int = 1,
+    block: int = DEFAULT_BLOCK,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Converge destination AS indices into ``(n_as, d)`` route tables.
+
+    Returns ``(lens, next_idx, via)`` as int32/int32/int8, column ``j``
+    for ``dest_idx[j]`` (see :func:`converge_block`).  With ``jobs > 1``
+    contiguous column shards fan out over a process pool with the three
+    tables in shared memory — workers write disjoint column slices and
+    return nothing, so results are never pickled.  Every column is a
+    pure function of the schedule and its destination, so serial and
+    sharded runs are bit-identical.
+    """
+    dest_idx = np.asarray(dest_idx, dtype=np.int64)
+    if jobs > 1:
+        return _converge_sharded(index, dest_idx, jobs, block)
+    n, d = len(index.asn), len(dest_idx)
+    lens = np.empty((n, d), dtype=np.int32)
+    nxt = np.empty((n, d), dtype=np.int32)
+    via = np.empty((n, d), dtype=np.int8)
+    _converge_into(index, dest_idx, lens, nxt, via, 0, d, block)
+    return lens, nxt, via
 
 
 def converge_all(
@@ -349,12 +484,9 @@ def converge_all(
 ) -> ColumnarRouteTable:
     """Converge ``dests`` (ASNs; default all) into one route table.
 
-    With ``jobs > 1`` destination blocks are sharded across a process
-    pool with the three state arrays in shared memory — workers write
-    disjoint column slices and return nothing, so results are never
-    pickled.  Serial and sharded runs are bit-identical (each block is a
-    pure function of the topology).  ``jobs=None`` consults
-    ``REPRO_ROUTING_JOBS`` exactly like the object backend.
+    ``jobs`` shards destination blocks across :func:`converge_columns`'
+    shared-memory pool; ``jobs=None`` consults ``REPRO_ROUTING_JOBS``
+    exactly like :meth:`~repro.routing.bgp.BGPTable.converge_all`.
     """
     asn_index = arrays.asn_index()
     if dests is None:
@@ -365,32 +497,40 @@ def converge_all(
     if len(dest_idx) and dest_idx.min() < 0:
         bad = [d for d in dest_asns if asn_index[d] < 0]
         raise ValueError(f"unknown destination ASNs: {bad}")
-    n, d = arrays.n_as, len(dest_idx)
+    d = len(dest_idx)
     n_jobs = resolve_routing_jobs(jobs, (d + block - 1) // block)
     with obs.span("routing.columnar.converge_all") as sp:
         sp.set("destinations", d)
         sp.set("jobs", n_jobs)
         sp.set("block", block)
-        if n_jobs <= 1:
-            index = build_solver_index(arrays)
-            lens = np.empty((n, d), dtype=np.int32)
-            nxt = np.empty((n, d), dtype=np.int32)
-            via = np.empty((n, d), dtype=np.int8)
-            for lo in range(0, d, block):
-                hi = min(lo + block, d)
-                lens[:, lo:hi], nxt[:, lo:hi], via[:, lo:hi] = converge_block(
-                    index, dest_idx[lo:hi]
-                )
-        else:
-            lens, nxt, via = _converge_sharded(arrays, dest_idx, n_jobs, block)
+        index = build_solver_index(arrays.relationship_arrays())
+        lens, nxt, via = converge_columns(index, dest_idx, jobs=n_jobs, block=block)
     obs.count("routing.columnar.batch_convergences")
-    return ColumnarRouteTable(arrays, dest_idx, lens, nxt, via)
+    return ColumnarRouteTable(index, dest_idx, lens, nxt, via)
+
+
+def _converge_into(
+    index: SolverIndex,
+    dest_idx: np.ndarray,
+    lens: np.ndarray,
+    nxt: np.ndarray,
+    via: np.ndarray,
+    col_lo: int,
+    col_hi: int,
+    block: int,
+) -> None:
+    """Fill table columns ``[col_lo, col_hi)`` block by block."""
+    for lo in range(col_lo, col_hi, block):
+        hi = min(lo + block, col_hi)
+        lens[:, lo:hi], nxt[:, lo:hi], via[:, lo:hi] = converge_block(
+            index, dest_idx[lo:hi]
+        )
 
 
 def _converge_shard(
     shm_name: str,
     shape: tuple[int, int],
-    arrays: TopologyArrays,
+    index: SolverIndex,
     dest_idx: np.ndarray,
     col_lo: int,
     col_hi: int,
@@ -400,20 +540,14 @@ def _converge_shard(
 
     Attaches the shared route table by name and writes its disjoint
     column slice; nothing is returned, so the only inter-process traffic
-    is the (compact) topology arrays on the way in.
+    is the (compact) solver schedule on the way in.
     """
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         lens, nxt, via = _table_views(shm, shape)
-        index = build_solver_index(arrays)
-        for lo in range(col_lo, col_hi, block):
-            hi = min(lo + block, col_hi)
-            b_lens, b_nxt, b_via = converge_block(index, dest_idx[lo:hi])
-            lens[:, lo:hi] = b_lens
-            nxt[:, lo:hi] = b_nxt
-            via[:, lo:hi] = b_via
+        _converge_into(index, dest_idx, lens, nxt, via, col_lo, col_hi, block)
     finally:
         shm.close()
 
@@ -439,23 +573,22 @@ def _table_views(shm, shape: tuple[int, int]):
 
 
 def _converge_sharded(
-    arrays: TopologyArrays, dest_idx: np.ndarray, n_jobs: int, block: int
+    index: SolverIndex, dest_idx: np.ndarray, n_jobs: int, block: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fan destination-column shards across a process pool via shm."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import shared_memory
 
-    n, d = arrays.n_as, len(dest_idx)
-    shape = (n, d)
+    shape = (len(index.asn), len(dest_idx))
     shm = shared_memory.SharedMemory(create=True, size=max(1, _table_bytes(shape)))
     try:
         # Contiguous column shards, one per worker.
-        bounds = np.linspace(0, d, n_jobs + 1).astype(int)
+        bounds = np.linspace(0, shape[1], n_jobs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [
                 pool.submit(
                     _converge_shard,
-                    shm.name, shape, arrays, dest_idx,
+                    shm.name, shape, index, dest_idx,
                     int(bounds[w]), int(bounds[w + 1]), block,
                 )
                 for w in range(n_jobs)
@@ -482,21 +615,14 @@ def igp_matrix(
     """All-pairs IGP costs for one AS, computed directly on CSR.
 
     No object translation: the intra-AS sub-graph is sliced out of the
-    link table, parallel links collapse to the ``(metric, link_id)``-
-    minimal edge (the same rule :class:`~repro.routing.igp.IGPTable`
-    applies), and scipy's Dijkstra runs over the resulting sparse
-    matrix.
+    link table and handed to :func:`~repro.routing.igp.shortest_paths`,
+    the rule :class:`~repro.routing.igp.IGPTable` applies to object
+    topologies.
 
     Returns:
         ``(router_ids, dist)``: the AS's router ids (ascending) and the
         dense cost matrix between them (``inf`` when disconnected).
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-
-    from repro.topology.asys import IGPStyle
-    from repro.topology.columnar import IGP_CODES
-
     indptr, rids = arrays.routers_by_as()
     routers = np.sort(rids[indptr[as_idx]: indptr[as_idx + 1]]).astype(np.int64)
     n_r = len(routers)
@@ -505,22 +631,11 @@ def igp_matrix(
     u_loc = local[arrays.link_u]
     v_loc = local[arrays.link_v]
     intra = (u_loc >= 0) & (v_loc >= 0)
-    u_loc, v_loc = u_loc[intra], v_loc[intra]
     if arrays.as_igp[as_idx] == IGP_CODES[IGPStyle.DELAY_METRIC]:
         metric = arrays.link_prop_ms[intra]
     else:
         metric = np.ones(int(intra.sum()))
-    link_ids = np.nonzero(intra)[0]
-    # Collapse parallel links: keep the (metric, link_id)-minimal edge
-    # per directed pair, exactly as IGPTable does before building CSR.
-    pair = u_loc * n_r + v_loc
-    order = np.lexsort((link_ids, metric, pair))
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = pair[order][1:] != pair[order][:-1]
-    sel = order[keep]
-    row = np.concatenate([u_loc[sel], v_loc[sel]])
-    col = np.concatenate([v_loc[sel], u_loc[sel]])
-    dat = np.concatenate([metric[sel], metric[sel]])
-    graph = csr_matrix((dat, (row, col)), shape=(n_r, n_r))
-    dist = _sp_dijkstra(graph, directed=True)
+    dist, _pred, _edges = shortest_paths(
+        n_r, u_loc[intra], v_loc[intra], metric, np.nonzero(intra)[0]
+    )
     return routers, dist

@@ -7,7 +7,8 @@ behaviour to the substrate:
 
 * a **secondary path** per ordered pair, resolved by forcing the first
   multi-exchange AS hop onto its second-choice egress (what a BGP-level
-  flap at the primary exchange would produce);
+  flap at the primary exchange would produce; see
+  :meth:`~repro.routing.forwarding.PathResolver.resolve_round_trip_secondary`);
 * a :class:`RouteFlapModel` that deterministically decides, per pair and
   time, whether the primary or secondary route is in effect — flap
   episodes arrive per-pair as a renewal process derived from counter-based
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.forwarding import PathResolver, RoundTripPath
 
 #: Length of a flap-evaluation window.  Within one window a pair's active
 #: route is fixed; flap episodes are multiples of this granularity.
@@ -92,14 +92,3 @@ class RouteFlapModel:
             for w in range(windows)
         )
         return on_primary / windows
-
-
-def resolve_secondary(
-    resolver: PathResolver, src: str, dst: str
-) -> RoundTripPath:
-    """The pair's secondary round trip: first flexible hop demoted.
-
-    Falls back to the primary when no AS hop has an alternative exchange
-    (single-homed chains have nothing to flap to).
-    """
-    return resolver.resolve_round_trip_secondary(src, dst)

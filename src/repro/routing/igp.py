@@ -7,50 +7,27 @@ over the AS's induced router subgraph and exposes cost/path lookups used
 by the forwarding layer to pick egress points and expand AS-level routes
 into router-level hops.
 
-Two backends implement the lookups:
-
-* **lazy** — the original per-source Dijkstra (binary heap), computed on
-  first query per source router.  Cheapest when only a handful of sources
-  are ever queried (tiny stub ASes with 2–8 routers).
-* **vectorized** — one ``scipy.sparse.csgraph.dijkstra`` call computes the
-  whole all-pairs distance/predecessor matrix in C.  Used automatically
-  for ASes with at least :data:`VECTOR_MIN_ROUTERS` routers (the
-  forwarding layer queries most border routers of every transit AS, so
-  the all-pairs cost is amortized immediately).
-
-Both backends agree on every cost; where equal-cost paths exist the
-chosen path may differ (both are valid shortest paths — the lazy backend
-keeps the first offer within a 1e-12 epsilon, scipy takes the true
-minimum).  Nothing downstream depends on equal-cost tie-breaks across
-backends; byte-identity CI checks pin each build to a single backend.
+One rule computes every AS's state, for object and columnar topologies
+alike (:func:`shortest_paths`): parallel links collapse to the
+``(metric, link_id)``-minimal edge per router pair, then a single
+``scipy.sparse.csgraph.dijkstra`` call solves the all-pairs distance and
+predecessor matrices in C.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.obs import runtime as obs
 
 from repro.topology.asys import IGPStyle
 from repro.topology.links import Link
 from repro.topology.network import Topology
-
-try:  # scipy is an optional accelerator; the lazy backend needs neither.
-    import numpy as _np
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
-
-#: Router count at which an AS switches to the vectorized all-pairs
-#: backend.  Below this, per-source lazy Dijkstra wins because most
-#: sources are never queried; above it, the forwarding layer touches
-#: enough (src, dst) pairs that one C-level all-pairs solve is cheaper.
-VECTOR_MIN_ROUTERS = 16
 
 
 class IGPError(RuntimeError):
@@ -67,6 +44,50 @@ def link_metric(link: Link, style: IGPStyle) -> float:
     if style is IGPStyle.HOP_COUNT:
         return 1.0
     return link.prop_delay_ms
+
+
+def shortest_paths(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    metric: np.ndarray,
+    link_ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """All-pairs shortest paths over one AS's router graph.
+
+    Parallel links collapse to the ``(metric, link_id)``-minimal edge per
+    router pair; the kept edges, in ``(row, col)`` order, form the CSR
+    directly, so equal-cost predecessor choices are a function of the
+    graph alone.
+
+    Args:
+        n: Router count; routers are local indices ``0..n-1``.
+        u, v: Local endpoint indices of each link.
+        metric: IGP metric of each link.
+        link_ids: Global link id of each link.
+
+    Returns:
+        ``(dist, pred, (rows, cols, links))``: the ``(n, n)`` cost matrix
+        (``inf`` when disconnected), scipy's predecessor matrix, and the
+        kept directed edges with the link realizing each.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    pair = lo * n + hi
+    order = np.lexsort((link_ids, metric, pair))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = pair[order][1:] != pair[order][:-1]
+    sel = order[keep]
+    rows = np.concatenate([lo[sel], hi[sel]])
+    cols = np.concatenate([hi[sel], lo[sel]])
+    edge_order = np.lexsort((cols, rows))
+    rows, cols = rows[edge_order], cols[edge_order]
+    data = np.concatenate([metric[sel], metric[sel]])[edge_order]
+    links = np.concatenate([link_ids[sel], link_ids[sel]])[edge_order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    graph = csr_matrix((data, cols, indptr), shape=(n, n))
+    dist, pred = dijkstra(graph, directed=True, return_predecessors=True)
+    return dist, pred, (rows, cols, links)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,40 +109,26 @@ class IGPPath:
 
 
 class IGPTable:
-    """All-pairs intra-AS routing state for one AS."""
+    """All-pairs intra-AS routing state for one AS.
 
-    def __init__(
-        self, topo: Topology, asn: int, *, vectorized: bool | None = None
-    ) -> None:
+    The distance/predecessor matrices are built by :func:`shortest_paths`
+    on the first lookup; paths are memoized per router pair.
+    """
+
+    def __init__(self, topo: Topology, asn: int) -> None:
         """
         Args:
             topo: The owning topology.
             asn: The AS whose induced router subgraph this table covers.
-            vectorized: Force the all-pairs scipy backend on (True) or off
-                (False); None picks automatically by AS size.  Without
-                scipy the lazy backend is always used.
         """
         self._topo = topo
         self.asn = asn
         self.style = topo.ases[asn].igp_style
         self._routers = list(topo.routers_of(asn))
-        router_set = set(self._routers)
-        # Induced subgraph: links whose both endpoints belong to this AS.
-        self._adj: dict[int, list[Link]] = {r: [] for r in self._routers}
-        for r in self._routers:
-            for link in topo.links_of(r):
-                if link.other(r) in router_set:
-                    self._adj[r].append(link)
-        if vectorized is None:
-            vectorized = len(self._routers) >= VECTOR_MIN_ROUTERS
-        self.vectorized = bool(vectorized) and _HAVE_SCIPY
-        # Lazily computed per-source shortest-path trees (lazy backend).
-        self._dist: dict[int, dict[int, float]] = {}
-        self._pred: dict[int, dict[int, tuple[int, int]]] = {}
-        # Lazily computed all-pairs state (vectorized backend).  Stored as
-        # plain nested lists: scalar lookups dominate and python-level
-        # indexing beats numpy scalar extraction on this access pattern.
         self._idx: dict[int, int] = {r: i for i, r in enumerate(self._routers)}
+        # All-pairs state, stored as plain nested lists: scalar lookups
+        # dominate and python-level indexing beats numpy scalar
+        # extraction on this access pattern.
         self._dist_rows: list[list[float]] | None = None
         self._pred_rows: list[list[int]] | None = None
         self._link_by_pair: dict[tuple[int, int], int] = {}
@@ -129,8 +136,6 @@ class IGPTable:
         # forwarding layer re-requests the same border-to-border segments
         # for many host pairs.
         self._path_cache: dict[tuple[int, int], IGPPath] = {}
-
-    # -- vectorized backend ------------------------------------------------
 
     # hotpath
     def _ensure_matrix(self) -> None:
@@ -140,32 +145,59 @@ class IGPTable:
         with obs.span("routing.igp.matrix") as sp:
             sp.set("asn", self.asn)
             sp.set("routers", len(self._routers))
-            n = len(self._routers)
-            # Parallel links collapse to the (metric, link_id)-minimal one
-            # per directed pair *before* building the CSR — coo/csr
-            # construction sums duplicate entries, which would corrupt
-            # the metric.
-            best_edge: dict[tuple[int, int], tuple[float, int]] = {}
-            for r in self._routers:
-                i = self._idx[r]
-                for link in self._adj[r]:
-                    j = self._idx[link.other(r)]
-                    cand = (link_metric(link, self.style), link.link_id)
-                    prev = best_edge.get((i, j))
-                    if prev is None or cand < prev:
-                        best_edge[(i, j)] = cand
-            edges = sorted(best_edge.items())
-            rows = _np.fromiter((ij[0] for ij, _ in edges), dtype=_np.int32, count=len(edges))
-            cols = _np.fromiter((ij[1] for ij, _ in edges), dtype=_np.int32, count=len(edges))
-            data = _np.fromiter((m for _, (m, _lid) in edges), dtype=_np.float64, count=len(edges))
-            graph = _csr_matrix((data, (rows, cols)), shape=(n, n))
-            dist, pred = _sp_dijkstra(graph, directed=True, return_predecessors=True)
+            idx = self._idx
+            # Each intra-AS link once, from its lower-id endpoint.
+            links = [
+                link
+                for r in self._routers
+                for link in self._topo.links_of(r)
+                if link.u == r and link.v in idx
+            ]
+            dist, pred, (rows, cols, link_ids) = shortest_paths(
+                len(self._routers),
+                np.array([idx[link.u] for link in links], dtype=np.int64),
+                np.array([idx[link.v] for link in links], dtype=np.int64),
+                np.array([link_metric(link, self.style) for link in links]),
+                np.array([link.link_id for link in links], dtype=np.int64),
+            )
             self._dist_rows = dist.tolist()
             self._pred_rows = pred.tolist()
-            self._link_by_pair = {ij: lid for ij, (_m, lid) in edges}
+            self._link_by_pair = dict(
+                zip(zip(rows.tolist(), cols.tolist()), link_ids.tolist())
+            )
         obs.count("routing.igp.matrix_builds")
 
-    def _vector_path(self, src: int, dst: int) -> IGPPath:
+    def _check_source(self, src: int) -> None:
+        if src not in self._idx:
+            raise IGPError(f"router {src} is not in AS{self.asn}")
+
+    # -- lookups -----------------------------------------------------------
+
+    def cost(self, src: int, dst: int) -> float:
+        """Metric cost from ``src`` to ``dst``; ``inf`` if unreachable."""
+        self._check_source(src)
+        self._ensure_matrix()
+        assert self._dist_rows is not None
+        j = self._idx.get(dst)
+        if j is None:
+            return float("inf")
+        return self._dist_rows[self._idx[src]][j]
+
+    def reachable(self, src: int, dst: int) -> bool:
+        """Whether ``dst`` is reachable from ``src`` inside this AS."""
+        return not math.isinf(self.cost(src, dst))
+
+    def path(self, src: int, dst: int) -> IGPPath:
+        """Shortest intra-AS path from ``src`` to ``dst``.
+
+        Raises:
+            IGPError: if ``src`` is not in this AS or ``dst`` is
+                unreachable from it.
+        """
+        cached = self._path_cache.get((src, dst))
+        if cached is not None:
+            return cached
+        self._check_source(src)
         self._ensure_matrix()
         assert self._dist_rows is not None and self._pred_rows is not None
         i = self._idx[src]
@@ -183,97 +215,12 @@ class IGPTable:
             cur = prev
         routers.reverse()
         links.reverse()
-        prop = sum(self._topo.links[k].prop_delay_ms for k in links)
-        return IGPPath(
+        path = IGPPath(
             routers=tuple(routers),
             links=tuple(links),
             cost=self._dist_rows[i][j],
-            prop_delay_ms=prop,
+            prop_delay_ms=sum(self._topo.links[k].prop_delay_ms for k in links),
         )
-
-    # -- lazy backend ------------------------------------------------------
-
-    def _ensure_source(self, src: int) -> None:
-        if src in self._dist:
-            return
-        dist: dict[int, float] = {src: 0.0}
-        pred: dict[int, tuple[int, int]] = {}
-        heap: list[tuple[float, int]] = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            for link in self._adj[u]:
-                v = link.other(u)
-                nd = d + link_metric(link, self.style)
-                if nd < dist.get(v, float("inf")) - 1e-12:
-                    dist[v] = nd
-                    pred[v] = (u, link.link_id)
-                    heapq.heappush(heap, (nd, v))
-        self._dist[src] = dist
-        self._pred[src] = pred
-
-    def _lazy_path(self, src: int, dst: int) -> IGPPath:
-        self._ensure_source(src)
-        if dst not in self._dist[src]:
-            raise IGPError(f"router {dst} unreachable from {src} within AS{self.asn}")
-        routers = [dst]
-        links: list[int] = []
-        node = dst
-        pred = self._pred[src]
-        while node != src:
-            prev, link_id = pred[node]
-            links.append(link_id)
-            routers.append(prev)
-            node = prev
-        routers.reverse()
-        links.reverse()
-        prop = sum(self._topo.links[i].prop_delay_ms for i in links)
-        return IGPPath(
-            routers=tuple(routers),
-            links=tuple(links),
-            cost=self._dist[src][dst],
-            prop_delay_ms=prop,
-        )
-
-    # -- lookups -----------------------------------------------------------
-
-    def _check_source(self, src: int) -> None:
-        if src not in self._adj:
-            raise IGPError(f"router {src} is not in AS{self.asn}")
-
-    def cost(self, src: int, dst: int) -> float:
-        """Metric cost from ``src`` to ``dst``; ``inf`` if unreachable."""
-        self._check_source(src)
-        if self.vectorized:
-            self._ensure_matrix()
-            assert self._dist_rows is not None
-            j = self._idx.get(dst)
-            if j is None:
-                return float("inf")
-            return self._dist_rows[self._idx[src]][j]
-        self._ensure_source(src)
-        return self._dist[src].get(dst, float("inf"))
-
-    def reachable(self, src: int, dst: int) -> bool:
-        """Whether ``dst`` is reachable from ``src`` inside this AS."""
-        return not math.isinf(self.cost(src, dst))
-
-    def path(self, src: int, dst: int) -> IGPPath:
-        """Shortest intra-AS path from ``src`` to ``dst``.
-
-        Raises:
-            IGPError: if ``src`` is not in this AS or ``dst`` is
-                unreachable from it.
-        """
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        self._check_source(src)
-        if self.vectorized:
-            path = self._vector_path(src, dst)
-        else:
-            path = self._lazy_path(src, dst)
         self._path_cache[(src, dst)] = path
         return path
 
@@ -304,7 +251,6 @@ class IGPSuite:
             with obs.span("routing.igp.table") as sp:
                 sp.set("asn", asn)
                 table = IGPTable(self._topo, asn)
-                sp.set("vectorized", table.vectorized)
                 self._tables[asn] = table
             obs.count("routing.igp.tables")
         return table

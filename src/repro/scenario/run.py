@@ -172,7 +172,6 @@ class ScenarioRun:
         n_hosts: int = 12,
         mean_interval_s: float = 600.0,
         trailing_buckets: int = 2,
-        reconverge: str = "affected",
         scale: str | None = None,
     ) -> None:
         """
@@ -190,8 +189,6 @@ class ScenarioRun:
             trailing_buckets: Congestion buckets of quiet time appended
                 after the last transition, so the healed (or broken)
                 end state is actually observed.
-            reconverge: Timeline reconvergence mode (``"affected"`` or
-                ``"full"``; see :mod:`repro.scenario.timeline`).
         """
         if trailing_buckets < 1:
             raise ValueError("trailing_buckets must be >= 1")
@@ -213,7 +210,7 @@ class ScenarioRun:
             capacity_scale=capacity_scale,
         )
         self.hosts = [h.name for h in hosts]
-        self.timeline = ScenarioTimeline(self.topo, plan, reconverge=reconverge)
+        self.timeline = ScenarioTimeline(self.topo, plan)
         self.conditions = NetworkConditions(self.topo, seed=seed + 13)
         self.horizon_s = (
             max(plan.last_transition_s, self.timeline.last_transition_s)

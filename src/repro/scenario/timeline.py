@@ -20,9 +20,9 @@ the same stable state, so its converged table is salvaged across the
 mutation instead of being recomputed.  Only the affected destinations
 are reconverged — lazily, by the next
 :meth:`~repro.routing.bgp.BGPTable.converge_all` — under the
-``scenario.reconverge`` span.  ``reconverge="full"`` disables the
-salvage (everything reconverges); it is kept as the differential-test
-oracle and the pre-optimization benchmark baseline.
+``scenario.reconverge`` span.  Clearing ``topo.routing_cache("bgp")``
+after :meth:`ScenarioTimeline.advance_to` forces full reconvergence;
+the differential tests compare the two.
 
 Construct the timeline **before** any netsim state: ``new-transit``
 events pre-materialize their router-level exchange link into the
@@ -50,10 +50,6 @@ from repro.scenario.plan import (
 from repro.topology.asys import ASLink, Relationship
 from repro.topology.links import LinkKind
 from repro.topology.network import Topology
-
-#: Reconvergence strategies (see module docstring).
-RECONVERGE_MODES = ("affected", "full")
-
 
 class ScenarioError(RuntimeError):
     """Raised when a plan cannot be realized on a topology (CLI exit 2)."""
@@ -94,36 +90,20 @@ class ScenarioTimeline:
     and rewinds to the start, leaving the topology pristine.
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        plan: ScenarioPlan,
-        *,
-        reconverge: str = "affected",
-    ) -> None:
+    def __init__(self, topo: Topology, plan: ScenarioPlan) -> None:
         """
         Args:
             topo: Topology the events apply to (hosts already placed).
             plan: The scenario; flap storms are ignored here (they are
                 route-dynamics, not topology — see
                 :class:`~repro.scenario.run.StormFlapModel`).
-            reconverge: ``"affected"`` salvages converged BGP tables for
-                destinations the mutation provably cannot change;
-                ``"full"`` drops everything (reference oracle).
 
         Raises:
             ScenarioError: when an event names an unknown ASN, region or
                 adjacency, or a ``new-transit`` cannot be realized.
-            ValueError: on an unknown ``reconverge`` mode.
         """
-        if reconverge not in RECONVERGE_MODES:
-            raise ValueError(
-                f"unknown reconverge mode {reconverge!r}; "
-                f"choose from {RECONVERGE_MODES}"
-            )
         self._topo = topo
         self._plan = plan
-        self._mode = reconverge
         # position -> (ASLink, exchange link id) for new-transit events.
         self._transit_parts: dict[int, tuple[ASLink, int]] = {}
         self._validate_and_materialize()
@@ -252,7 +232,7 @@ class ScenarioTimeline:
             or self._transitions[self._cursor].t > t
         ):
             return 0
-        saved = dict(self._topo.routing_cache("bgp"))
+        saved = self._topo.routing_cache("bgp").get("routes", {})
         removed_pairs: set[frozenset[int]] = set()
         removed_asns: set[int] = set()
         additive = False
@@ -417,46 +397,40 @@ class ScenarioTimeline:
 
     def _salvage(
         self,
-        saved: dict[str, dict[int, dict[int, BGPRoute]]],
+        saved: dict[int, dict[int, BGPRoute]],
         removed_pairs: set[frozenset[int]],
         removed_asns: set[int],
         additive: bool,
     ) -> None:
         """Restore converged tables the mutation provably did not touch.
 
-        ``saved`` is the pre-mutation BGP cache bag (algorithm -> dest ->
-        holder -> route).  In ``"full"`` mode, or after any additive
-        change (new capacity can improve routes anywhere), nothing is
-        salvaged and every destination reconverges.
+        ``saved`` is the pre-mutation BGP route store (dest -> holder ->
+        route).  After any additive change (new capacity can improve
+        routes anywhere) nothing is salvaged and every destination
+        reconverges.
         """
-        if self._mode != "affected" or additive:
+        if additive:
             return
         with obs.span("scenario.reconverge") as sp:
-            fresh = self._topo.routing_cache("bgp")
-            retained = 0
+            keep: dict[int, dict[int, BGPRoute]] = {}
             invalidated = 0
-            for algorithm, store in saved.items():
-                keep: dict[int, dict[int, BGPRoute]] = {}
-                for dest, table in store.items():
-                    if self._dest_affected(
-                        dest, table, removed_pairs, removed_asns
-                    ):
-                        invalidated += 1
-                        continue
-                    if removed_asns:
-                        # Isolated ASes lose their own entries even in
-                        # unaffected tables (they no longer hold routes).
-                        table = {
-                            holder: route
-                            for holder, route in table.items()
-                            if holder not in removed_asns
-                        }
-                    keep[dest] = table
-                    retained += 1
-                fresh[algorithm] = keep
-            sp.set("retained", retained)
+            for dest, table in saved.items():
+                if self._dest_affected(dest, table, removed_pairs, removed_asns):
+                    invalidated += 1
+                    continue
+                if removed_asns:
+                    # Isolated ASes lose their own entries even in
+                    # unaffected tables (they no longer hold routes).
+                    table = {
+                        holder: route
+                        for holder, route in table.items()
+                        if holder not in removed_asns
+                    }
+                keep[dest] = table
+            self._topo.routing_cache("bgp")["routes"] = keep
+            sp.set("retained", len(keep))
             sp.set("invalidated", invalidated)
-        obs.count("scenario.dests_retained", retained)
+        obs.count("scenario.dests_retained", len(keep))
         obs.count("scenario.dests_invalidated", invalidated)
 
     @staticmethod

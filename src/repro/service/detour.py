@@ -180,7 +180,6 @@ class DetourService:
         probe_interval_s: float = BUCKET_SECONDS,
         relays_per_pair: int = 2,
         mean_request_interval_s: float = 60.0,
-        reconverge: str = "affected",
         scale: str | None = None,
     ) -> None:
         """
@@ -200,8 +199,6 @@ class DetourService:
                 candidate list is this plus the default path).
             mean_request_interval_s: Poisson mean between one pair's
                 requests.
-            reconverge: Timeline reconvergence mode (``"affected"`` or
-                ``"full"``).
 
         Raises:
             ServiceError: for non-positive durations/intervals or a pair
@@ -240,7 +237,7 @@ class DetourService:
             capacity_scale=capacity_scale,
         )
         self.hosts = [h.name for h in placed]
-        self.timeline = ScenarioTimeline(self.topo, self.plan, reconverge=reconverge)
+        self.timeline = ScenarioTimeline(self.topo, self.plan)
         self.conditions = NetworkConditions(self.topo, seed=seed + 13)
         self.horizon_s = max(
             duration_s, self.timeline.last_transition_s + BUCKET_SECONDS

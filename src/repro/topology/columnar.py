@@ -13,8 +13,9 @@ chasing and dict-hashing overhead.
   indexed by the same dense ids the object model uses;
 * ragged per-entity lists (an AS's cities, an AS link's exchange
   cities) in CSR form (``indptr`` + flat index array);
-* the AS graph, the per-relationship Gao-Rexford adjacency, and the
-  intra-AS router graph as CSR adjacency (see
+* the AS graph, the per-relationship Gao-Rexford adjacency (shared
+  with the object model, see :mod:`repro.topology.relationships`), and
+  the intra-AS router graph as CSR adjacency (see
   :mod:`repro.routing.columnar` for the solvers that consume them).
 
 The two representations convert losslessly in both directions:
@@ -22,12 +23,13 @@ The two representations convert losslessly in both directions:
 :meth:`TopologyArrays.to_topology` replays the arrays through the object
 construction API so the result is *byte-identical* under :mod:`pickle`
 to the original (same derived-index ordering, same object sharing).
-The object path stays authoritative at paper scale — differential tests
-hold the columnar backend to it route-for-route.
+Both representations route through the same solver, so a converted
+topology routes exactly like its source.
 
 Enum attributes are stored as small integer codes; the ``*_CODES`` /
-``*_FROM_CODE`` tables below define the mapping and are part of the
-on-disk/shared-memory contract.
+``*_FROM_CODE`` tables below (relationship codes live in
+:mod:`repro.topology.relationships`) define the mapping and are part of
+the on-disk/shared-memory contract.
 """
 
 from __future__ import annotations
@@ -38,10 +40,17 @@ import numpy as np
 
 from repro.obs import runtime as obs
 
-from repro.topology.asys import ASLink, ASTier, AutonomousSystem, IGPStyle, Relationship
+from repro.topology.asys import ASLink, ASTier, AutonomousSystem, IGPStyle
 from repro.topology.geography import City
 from repro.topology.links import Link, LinkKind
 from repro.topology.network import Topology
+from repro.topology.relationships import (
+    REL_CODES,
+    REL_FROM_CODE,
+    RelationshipArrays,
+    asn_lookup,
+    build_relationship_arrays,
+)
 from repro.topology.router import Host, Router, RouterRole
 
 #: Stable enum -> int8 code tables (part of the columnar contract).
@@ -58,63 +67,15 @@ KIND_FROM_CODE: tuple[LinkKind, ...] = (
     LinkKind.EXCHANGE,
     LinkKind.ACCESS,
 )
-REL_FROM_CODE: tuple[Relationship, ...] = (
-    Relationship.CUSTOMER,
-    Relationship.PROVIDER,
-    Relationship.PEER,
-    Relationship.SIBLING,
-)
 
 TIER_CODES = {member: i for i, member in enumerate(TIER_FROM_CODE)}
 IGP_CODES = {member: i for i, member in enumerate(IGP_FROM_CODE)}
 ROLE_CODES = {member: i for i, member in enumerate(ROLE_FROM_CODE)}
 KIND_CODES = {member: i for i, member in enumerate(KIND_FROM_CODE)}
-REL_CODES = {member: i for i, member in enumerate(REL_FROM_CODE)}
 
 
 class ColumnarError(RuntimeError):
     """Raised on invalid columnar topology operations."""
-
-
-@dataclass(frozen=True, slots=True)
-class RelationshipArrays:
-    """The Gao-Rexford relationship index as typed arrays.
-
-    The columnar analog of
-    :class:`~repro.topology.network.ASRelationshipIndex`: per-AS
-    customer/provider/peer neighbor lists in CSR form (all indices are
-    dense AS *indices*, not ASNs), plus the customers-first topological
-    levels of the provider hierarchy that the vectorized solver
-    schedules by.
-
-    Attributes:
-        customers_indptr / customers: CSR of each AS's customers,
-            neighbor lists sorted by neighbor ASN.
-        providers_indptr / providers: CSR of each AS's providers.
-        peers_indptr / peers: CSR of each AS's peers.
-        has_siblings: Whether any SIBLING adjacency exists (columnar
-            solving is refused; the object fixpoint is the fallback).
-        levels: ``levels[i]`` is the customer-DAG depth of AS ``i`` (0
-            for ASes without customers), or -1 everywhere when the
-            customer/provider graph has a cycle (no valid hierarchy).
-        down_levels: provider-DAG depth (0 for ASes without providers),
-            the stage-3 schedule; -1 everywhere on a cycle.
-    """
-
-    customers_indptr: np.ndarray
-    customers: np.ndarray
-    providers_indptr: np.ndarray
-    providers: np.ndarray
-    peers_indptr: np.ndarray
-    peers: np.ndarray
-    has_siblings: bool
-    levels: np.ndarray
-    down_levels: np.ndarray
-
-    @property
-    def acyclic(self) -> bool:
-        """Whether the customer->provider hierarchy is a DAG."""
-        return bool(self.levels.size == 0 or self.levels[0] != -1 or self.levels.max() >= 0)
 
 
 def _csr_from_lists(lists: list[list[int]], dtype=np.int32) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +200,7 @@ class TopologyArrays:
     def asn_index(self) -> np.ndarray:
         """Dense ASN -> AS-index lookup array (-1 for unknown ASNs)."""
         if self._asn_index is None:
-            size = int(self.as_asn.max()) + 1 if self.n_as else 1
-            index = np.full(size, -1, dtype=np.int64)
-            index[self.as_asn] = np.arange(self.n_as, dtype=np.int64)
-            self._asn_index = index
+            self._asn_index = asn_lookup(self.as_asn)
         return self._asn_index
 
     def as_cities(self, as_idx: int) -> np.ndarray:
@@ -265,7 +223,9 @@ class TopologyArrays:
     def relationship_arrays(self) -> RelationshipArrays:
         """The typed-array Gao-Rexford index (cached)."""
         if self._rel_arrays is None:
-            self._rel_arrays = _build_relationship_arrays(self)
+            self._rel_arrays = build_relationship_arrays(
+                self.as_asn, self.aslink_a, self.aslink_b, self.aslink_rel
+            )
         return self._rel_arrays
 
     # -- conversion --------------------------------------------------------
@@ -485,99 +445,3 @@ def from_topology(topo: Topology) -> TopologyArrays:
         arrays.city_weight = np.array(_city_weight)
     obs.count("topology.columnar.from_topology")
     return arrays
-
-
-def _build_relationship_arrays(arrays: TopologyArrays) -> RelationshipArrays:
-    """Classify AS adjacency by relationship and level the hierarchy."""
-    n = arrays.n_as
-    asn_index = arrays.asn_index()
-    a_idx = asn_index[arrays.aslink_a] if len(arrays.aslink_a) else np.empty(0, np.int64)
-    b_idx = asn_index[arrays.aslink_b] if len(arrays.aslink_b) else np.empty(0, np.int64)
-    rel = arrays.aslink_rel
-    has_siblings = bool((rel == REL_CODES[Relationship.SIBLING]).any())
-
-    # Edge direction convention: rel_ab is b's relationship from a's
-    # viewpoint, so rel_ab == CUSTOMER means b is a's customer.
-    cust_code = REL_CODES[Relationship.CUSTOMER]
-    prov_code = REL_CODES[Relationship.PROVIDER]
-    peer_code = REL_CODES[Relationship.PEER]
-    is_cust = rel == cust_code
-    is_prov = rel == prov_code
-    is_peer = rel == peer_code
-    # (owner, neighbor) pairs for each classified list.
-    cust_owner = np.concatenate([a_idx[is_cust], b_idx[is_prov]])
-    cust_nbr = np.concatenate([b_idx[is_cust], a_idx[is_prov]])
-    prov_owner = np.concatenate([a_idx[is_prov], b_idx[is_cust]])
-    prov_nbr = np.concatenate([b_idx[is_prov], a_idx[is_cust]])
-    peer_owner = np.concatenate([a_idx[is_peer], b_idx[is_peer]])
-    peer_nbr = np.concatenate([b_idx[is_peer], a_idx[is_peer]])
-
-    def csr(owner: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Sort by (owner, neighbor ASN) so per-owner lists match the
-        # object index's sorted-tuple convention.
-        nbr_asn = arrays.as_asn[nbr] if len(nbr) else nbr
-        order = np.lexsort((nbr_asn, owner))
-        owner = owner[order]
-        nbr = nbr[order]
-        counts = np.bincount(owner, minlength=n) if len(owner) else np.zeros(n, np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, nbr.astype(np.int32)
-
-    customers_indptr, customers = csr(cust_owner, cust_nbr)
-    providers_indptr, providers = csr(prov_owner, prov_nbr)
-    peers_indptr, peers = csr(peer_owner, peer_nbr)
-
-    # Customer-DAG levels by Kahn over customer->provider edges
-    # (edge c -> p for every "c is p's customer" pair).
-    levels = np.zeros(n, dtype=np.int32)
-    indegree = np.diff(customers_indptr).astype(np.int64)
-    edge_src = customers  # provider row -> its customers
-    # Build provider list per customer for propagation: reuse the
-    # providers CSR (for each AS, who are its providers).
-    ready = list(np.nonzero(indegree == 0)[0])
-    seen = 0
-    head = 0
-    ready_arr = ready
-    remaining = indegree.copy()
-    while head < len(ready_arr):
-        x = ready_arr[head]
-        head += 1
-        seen += 1
-        for p in providers[providers_indptr[x]: providers_indptr[x + 1]]:
-            p = int(p)
-            if levels[p] < levels[x] + 1:
-                levels[p] = levels[x] + 1
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                ready_arr.append(p)
-    del edge_src
-    if seen != n:
-        levels = np.full(n, -1, dtype=np.int32)
-        down_levels = np.full(n, -1, dtype=np.int32)
-    else:
-        down_levels = np.zeros(n, dtype=np.int32)
-        remaining = np.diff(providers_indptr).astype(np.int64)
-        ready_arr = list(np.nonzero(remaining == 0)[0])
-        head = 0
-        while head < len(ready_arr):
-            x = ready_arr[head]
-            head += 1
-            for c in customers[customers_indptr[x]: customers_indptr[x + 1]]:
-                c = int(c)
-                if down_levels[c] < down_levels[x] + 1:
-                    down_levels[c] = down_levels[x] + 1
-                remaining[c] -= 1
-                if remaining[c] == 0:
-                    ready_arr.append(c)
-    return RelationshipArrays(
-        customers_indptr=customers_indptr,
-        customers=customers,
-        providers_indptr=providers_indptr,
-        providers=providers,
-        peers_indptr=peers_indptr,
-        peers=peers,
-        has_siblings=has_siblings,
-        levels=levels,
-        down_levels=down_levels,
-    )

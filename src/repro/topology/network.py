@@ -9,90 +9,24 @@ measurement hosts may be attached after generation.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.topology.asys import ASLink, AutonomousSystem, Relationship
 from repro.topology.geography import City, propagation_delay_ms
 from repro.topology.links import DEFAULT_CAPACITY_MBPS, Link, LinkKind
+from repro.topology.relationships import (
+    REL_CODES,
+    RelationshipArrays,
+    build_relationship_arrays,
+)
 from repro.topology.router import Host, Router, RouterRole
 
 
 class TopologyError(RuntimeError):
     """Raised on structurally invalid topology operations."""
-
-
-@dataclass(frozen=True, slots=True)
-class ASRelationshipIndex:
-    """Per-relationship AS adjacency, precomputed for the routing fast path.
-
-    The BGP three-stage solver (:mod:`repro.routing.bgp`) needs, per AS,
-    its neighbors split by relationship class plus a topological order of
-    the customer→provider hierarchy.  Building these once per topology
-    (instead of re-classifying every :class:`ASLink` per destination)
-    keeps route computation O(E) per destination.
-
-    Attributes:
-        customers: ``asn -> sorted neighbor ASNs that are asn's customers``.
-        providers: ``asn -> sorted neighbor ASNs that are asn's providers``.
-        peers: ``asn -> sorted neighbor ASNs that are asn's peers``.
-        has_siblings: Whether any SIBLING adjacency exists (the staged
-            solver does not model sibling route laundering and falls back
-            to the fixpoint oracle when this is set).
-        up_order: Every ASN ordered so each AS appears *after* all of its
-            customers (customers-first topological order of the
-            customer→provider DAG), or ``None`` when the relationship
-            graph contains a customer-provider cycle.
-    """
-
-    customers: dict[int, tuple[int, ...]]
-    providers: dict[int, tuple[int, ...]]
-    peers: dict[int, tuple[int, ...]]
-    has_siblings: bool
-    up_order: tuple[int, ...] | None
-
-
-def _build_relationship_index(topo: "Topology") -> ASRelationshipIndex:
-    customers: dict[int, list[int]] = defaultdict(list)
-    providers: dict[int, list[int]] = defaultdict(list)
-    peers: dict[int, list[int]] = defaultdict(list)
-    has_siblings = False
-    for as_link in topo.as_links:
-        for asn in (as_link.a, as_link.b):
-            neighbor = as_link.other(asn)
-            rel = as_link.relationship_from(asn)
-            if rel is Relationship.CUSTOMER:
-                customers[asn].append(neighbor)
-            elif rel is Relationship.PROVIDER:
-                providers[asn].append(neighbor)
-            elif rel is Relationship.PEER:
-                peers[asn].append(neighbor)
-            else:
-                has_siblings = True
-    # Customers-first topological order of the provider hierarchy (Kahn
-    # with a min-heap so the order is deterministic for a given topology).
-    indegree = {asn: len(customers.get(asn, ())) for asn in topo.ases}
-    ready = [asn for asn, deg in sorted(indegree.items()) if deg == 0]
-    heapq.heapify(ready)
-    up_order: list[int] = []
-    while ready:
-        asn = heapq.heappop(ready)
-        up_order.append(asn)
-        for provider in providers.get(asn, ()):
-            indegree[provider] -= 1
-            if indegree[provider] == 0:
-                heapq.heappush(ready, provider)
-    order: tuple[int, ...] | None = tuple(up_order)
-    if len(up_order) != len(topo.ases):
-        order = None  # customer-provider cycle: no valid hierarchy
-    return ASRelationshipIndex(
-        customers={a: tuple(sorted(ns)) for a, ns in customers.items()},
-        providers={a: tuple(sorted(ns)) for a, ns in providers.items()},
-        peers={a: tuple(sorted(ns)) for a, ns in peers.items()},
-        has_siblings=has_siblings,
-        up_order=order,
-    )
 
 
 @dataclass
@@ -119,7 +53,7 @@ class Topology:
         default_factory=lambda: defaultdict(list)
     )
     _host_by_name: dict[str, Host] = field(default_factory=dict)
-    _rel_index: ASRelationshipIndex | None = field(
+    _rel_index: RelationshipArrays | None = field(
         default=None, repr=False, compare=False
     )
     _route_cache: dict[str, dict] = field(
@@ -374,14 +308,23 @@ class Topology:
         """AS adjacencies involving ``asn``."""
         return self._as_adj.get(asn, [])
 
-    def relationship_index(self) -> ASRelationshipIndex:
-        """Relationship-classified AS adjacency (cached until mutated).
+    def relationship_index(self) -> RelationshipArrays:
+        """Relationship-classified AS adjacency as typed arrays (cached).
 
-        Invalidated by :meth:`add_as` / :meth:`add_as_link`; consumers
-        must not hold the returned index across topology mutations.
+        The same index :meth:`TopologyArrays.relationship_arrays
+        <repro.topology.columnar.TopologyArrays.relationship_arrays>`
+        builds, over ASes in registration order.  Invalidated by every
+        AS-graph mutation; consumers must not hold the returned index
+        across one.
         """
         if self._rel_index is None:
-            self._rel_index = _build_relationship_index(self)
+            links = self.as_links
+            self._rel_index = build_relationship_arrays(
+                np.fromiter(self.ases, dtype=np.int64, count=len(self.ases)),
+                np.array([al.a for al in links], dtype=np.int64),
+                np.array([al.b for al in links], dtype=np.int64),
+                np.array([REL_CODES[al.rel_ab] for al in links], dtype=np.int8),
+            )
         return self._rel_index
 
     def routing_cache(self, layer: str) -> dict:

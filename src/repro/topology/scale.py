@@ -38,12 +38,12 @@ from repro.obs import runtime as obs
 from repro.topology.columnar import (
     IGP_CODES,
     KIND_CODES,
-    REL_CODES,
     ROLE_CODES,
     TIER_CODES,
     TopologyArrays,
     _csr_from_lists,
 )
+from repro.topology.relationships import REL_CODES
 from repro.topology.asys import ASTier, IGPStyle, Relationship
 from repro.topology.geography import (
     EARTH_RADIUS_KM,

@@ -86,6 +86,23 @@ def test_backends_agree_after_reset(monkeypatch):
     assert dict_state.usable_pairs() == array_state.usable_pairs()
 
 
+def test_estimate_is_a_snapshot(monkeypatch):
+    """An estimate taken before record_probe is unchanged after it, on
+    both backends (the dict backend used to hand out its live object)."""
+    hosts, dict_state, array_state = _backends(monkeypatch, 4)
+    pair = (hosts[0], hosts[1])
+    for state in (dict_state, array_state):
+        state.record_probe(pair, 40.0)
+        before = state.estimate(pair)
+        state.record_probe(pair, 80.0)
+        state.record_probe(pair, math.nan)
+        assert (before.rtt_ms, before.loss, before.samples) == (40.0, 0.0, 1)
+        after = state.estimate(pair)
+        assert after.samples == 3 and after.rtt_ms > 40.0 and after.loss > 0.0
+        with pytest.raises(AttributeError):
+            before.rtt_ms = 1.0
+
+
 def test_array_backend_keyerrors_match_dict(monkeypatch):
     hosts, dict_state, array_state = _backends(monkeypatch, 4)
     for state in (dict_state, array_state):

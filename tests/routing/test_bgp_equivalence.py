@@ -1,26 +1,22 @@
-"""Differential tests: staged Gao-Rexford solver vs the fixpoint oracle.
+"""Differential tests: the BGPTable solver vs the fixpoint oracle.
 
-The three-stage solver must be *route-for-route identical* to the
-synchronous fixpoint — same reachability, same AS paths, same
+:class:`BGPTable` runs the three-stage Gao-Rexford kernels; it must be
+*route-for-route identical* to the synchronous fixpoint relaxation
+(:func:`converge_fixpoint`) — same reachability, same AS paths, same
 learned-from classes, same tie-breaks — on every topology the generator
 can produce.  These tests converge every destination on generated
-topologies across seeds and eras and compare the full route tables, plus
-the structural fallbacks (siblings, customer-provider cycles) and the
-batch API's serial/parallel identity.
-
-Note the two tables are keyed separately in the topology's shared routing
-cache (by *requested* algorithm), so the comparison is never vacuous.
+topologies across seeds and eras and on random hierarchies and compare
+the full route tables, plus the structural refusals (siblings,
+customer-provider cycles) and the batch API's serial/parallel identity.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.bgp import (
-    BGPError,
-    BGPTable,
+from repro.routing.bgp import BGPTable, converge_fixpoint
+from repro.routing.columnar import (
     ROUTING_JOBS_ENV_VAR,
+    BGPError,
     resolve_routing_jobs,
 )
 from repro.topology import TopologyConfig, generate_topology
@@ -48,14 +44,13 @@ def _gadget(n: int, links: list[tuple[int, int, Relationship]]) -> Topology:
 
 
 def _assert_identical_tables(topo: Topology) -> None:
-    """Converge everything under both solvers and compare exhaustively."""
-    fast = BGPTable(topo)
-    oracle = BGPTable(topo, algorithm="fixpoint")
-    fast.converge_all()
-    oracle.converge_all()
+    """Converge everything with both solvers and compare exhaustively."""
+    table = BGPTable(topo)
+    table.converge_all()
     for dest in sorted(topo.ases):
+        oracle, _rounds = converge_fixpoint(topo, dest)
         for asn in sorted(topo.ases):
-            assert fast.route(asn, dest) == oracle.route(asn, dest), (
+            assert table.route(asn, dest) == oracle.get(asn), (
                 f"route divergence at AS{asn} -> AS{dest}"
             )
 
@@ -82,10 +77,7 @@ def _assert_valley_free(topo: Topology, path: tuple[int, ...]) -> None:
 @pytest.mark.parametrize("era", ["1995", "1999"])
 @pytest.mark.parametrize("seed", [41, 42, 43])
 def test_generated_topologies_route_identical(era, seed):
-    topo = generate_topology(TopologyConfig.for_era(era, seed=seed))
-    fast = BGPTable(topo)
-    assert fast.effective_algorithm() == "gao-rexford"
-    _assert_identical_tables(topo)
+    _assert_identical_tables(generate_topology(TopologyConfig.for_era(era, seed=seed)))
 
 
 @pytest.mark.parametrize("era", ["1995", "1999"])
@@ -141,7 +133,6 @@ def test_gadget_topologies_route_identical():
         ]),
     ]
     for topo in gadgets:
-        assert BGPTable(topo).effective_algorithm() == "gao-rexford"
         _assert_identical_tables(topo)
 
 
@@ -163,34 +154,27 @@ def test_random_hierarchies_route_identical(seed):
     _assert_identical_tables(_gadget(n, links))
 
 
-def test_sibling_topology_falls_back_to_fixpoint():
+def test_sibling_topology_raises_bgp_error():
     topo = _gadget(3, [
         (1, 2, Relationship.SIBLING),
         (2, 3, Relationship.PEER),
     ])
     table = BGPTable(topo)
-    assert table.effective_algorithm() == "fixpoint"
-    # Sibling laundering still works through the fallback.
-    assert table.as_path(1, 3) == (1, 2, 3)
-    assert table.as_path(3, 1) == (3, 2, 1)
-    _assert_identical_tables(topo)
+    with pytest.raises(BGPError, match="SIBLING"):
+        table.as_path(1, 3)
+    with pytest.raises(BGPError, match="SIBLING"):
+        table.converge_all()
 
 
-def test_customer_provider_cycle_falls_back_to_fixpoint():
+def test_customer_provider_cycle_raises_bgp_error():
     topo = _gadget(3, [
         (1, 2, Relationship.PROVIDER),   # 2 is 1's provider
         (2, 3, Relationship.PROVIDER),   # 3 is 2's provider
         (3, 1, Relationship.PROVIDER),   # 1 is 3's provider: a cycle
     ])
-    assert topo.relationship_index().up_order is None
-    table = BGPTable(topo)
-    assert table.effective_algorithm() == "fixpoint"
-    _assert_identical_tables(topo)
-
-
-def test_unknown_algorithm_rejected():
-    with pytest.raises(ValueError, match="unknown BGP algorithm"):
-        BGPTable(Topology(), algorithm="ospf")
+    assert not topo.relationship_index().acyclic
+    with pytest.raises(BGPError, match="customer-provider cycle"):
+        BGPTable(topo).converge_all()
 
 
 def test_converge_all_unknown_destination():

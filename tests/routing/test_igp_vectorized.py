@@ -1,18 +1,59 @@
-"""Vectorized (scipy all-pairs) vs lazy (per-source heap) IGP backends.
+"""IGPTable (scipy all-pairs) vs a per-source heap Dijkstra reference.
 
-The two backends must agree on every cost and on reachability; where
-equal-cost shortest paths exist the chosen path may differ between
-backends, so path assertions check validity and optimality rather than
-hop-for-hop identity.
+The two must agree on every cost and on reachability.  Where equal-cost
+shortest paths exist the chosen path may differ (the reference keeps
+the first offer within a 1e-12 epsilon, scipy takes the true minimum),
+so path assertions on large ASes check validity and optimality.  ASes
+under 16 routers must match the reference hop for hop: the committed
+replay hashes were recorded with the reference's paths for them.
 """
 
+import heapq
 import math
 
 import pytest
 
 from repro.routing.forwarding import PathResolver
-from repro.routing.igp import IGPError, IGPTable, VECTOR_MIN_ROUTERS, link_metric
+from repro.routing.igp import IGPError, IGPTable, link_metric
 from repro.topology import TopologyConfig, generate_topology, place_hosts
+
+#: ASes below this router count must match the reference hop for hop.
+SMALL_AS_ROUTERS = 16
+
+
+def _reference(topo, asn, src):
+    """Per-source heap Dijkstra over ``asn``'s induced router subgraph.
+
+    Returns ``(dist, pred)`` with ``pred[v] = (u, link_id)``.
+    """
+    routers = set(topo.routers_of(asn))
+    style = topo.ases[asn].igp_style
+    dist = {src: 0.0}
+    pred = {}
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        for link in topo.links_of(u):
+            v = link.other(u)
+            if v not in routers:
+                continue
+            nd = d + link_metric(link, style)
+            if nd < dist.get(v, math.inf) - 1e-12:
+                dist[v] = nd
+                pred[v] = (u, link.link_id)
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def _reference_path(pred, src, dst):
+    routers, links = [dst], []
+    while routers[-1] != src:
+        prev, link_id = pred[routers[-1]]
+        routers.append(prev)
+        links.append(link_id)
+    return tuple(reversed(routers)), tuple(reversed(links))
 
 
 @pytest.fixture(scope="module")
@@ -21,39 +62,57 @@ def topo():
 
 
 def _checkable_ases(topo, limit=6):
-    """The largest ASes (the ones that exercise the vectorized backend)."""
+    """The largest ASes (the ones with the most equal-cost choices)."""
     sized = sorted(
         topo.ases, key=lambda a: (-len(topo.routers_of(a)), a)
     )
     return sized[:limit]
 
 
+def _small_ases(topo):
+    return [a for a in sorted(topo.ases) if len(topo.routers_of(a)) < SMALL_AS_ROUTERS]
+
+
 def test_backends_agree_on_all_costs(topo):
-    for asn in _checkable_ases(topo):
+    for asn in _checkable_ases(topo) + _small_ases(topo):
         routers = topo.routers_of(asn)
-        lazy = IGPTable(topo, asn, vectorized=False)
-        vec = IGPTable(topo, asn, vectorized=True)
-        assert not lazy.vectorized
-        assert vec.vectorized
+        table = IGPTable(topo, asn)
         for s in routers:
+            ref, _pred = _reference(topo, asn, s)
             for d in routers:
-                cl, cv = lazy.cost(s, d), vec.cost(s, d)
-                if math.isinf(cl):
-                    assert math.isinf(cv), (asn, s, d)
+                cost = table.cost(s, d)
+                if d not in ref:
+                    assert math.isinf(cost), (asn, s, d)
                 else:
-                    assert cl == pytest.approx(cv), (asn, s, d)
+                    assert cost == pytest.approx(ref[d]), (asn, s, d)
+
+
+def test_small_as_paths_match_reference(topo):
+    checked = 0
+    for asn in _small_ases(topo):
+        routers = topo.routers_of(asn)
+        table = IGPTable(topo, asn)
+        for s in routers:
+            _dist, pred = _reference(topo, asn, s)
+            for d in routers:
+                path = table.path(s, d)
+                assert (path.routers, path.links) == _reference_path(pred, s, d), (
+                    asn, s, d,
+                )
+                checked += 1
+    assert checked > 0
 
 
 def test_vectorized_paths_are_valid_shortest_paths(topo):
     for asn in _checkable_ases(topo, limit=3):
         routers = topo.routers_of(asn)
-        vec = IGPTable(topo, asn, vectorized=True)
-        lazy = IGPTable(topo, asn, vectorized=False)
+        table = IGPTable(topo, asn)
         for s in routers[:8]:
+            ref, _pred = _reference(topo, asn, s)
             for d in routers:
-                if math.isinf(vec.cost(s, d)):
+                if math.isinf(table.cost(s, d)):
                     continue
-                path = vec.path(s, d)
+                path = table.path(s, d)
                 assert path.routers[0] == s and path.routers[-1] == d
                 assert len(path.links) == len(path.routers) - 1
                 total = 0.0
@@ -62,17 +121,10 @@ def test_vectorized_paths_are_valid_shortest_paths(topo):
                 ):
                     link = topo.links[lid]
                     assert {link.u, link.v} == {u, v}, (asn, s, d, lid)
-                    total += link_metric(link, vec.style)
-                # Valid AND optimal: cost equals the lazy backend's.
+                    total += link_metric(link, table.style)
+                # Valid AND optimal: cost equals the reference's.
                 assert total == pytest.approx(path.cost)
-                assert path.cost == pytest.approx(lazy.cost(s, d))
-
-
-def test_auto_threshold_selects_backend(topo):
-    for asn in sorted(topo.ases):
-        table = IGPTable(topo, asn)
-        expect = len(topo.routers_of(asn)) >= VECTOR_MIN_ROUTERS
-        assert table.vectorized == expect, asn
+                assert path.cost == pytest.approx(ref[d])
 
 
 def test_vectorized_error_semantics_match(topo):
@@ -80,19 +132,18 @@ def test_vectorized_error_semantics_match(topo):
     other = next(a for a in sorted(topo.ases) if a != asn)
     foreign = topo.routers_of(other)[0]
     inside = topo.routers_of(asn)[0]
-    for vectorized in (False, True):
-        table = IGPTable(topo, asn, vectorized=vectorized)
-        with pytest.raises(IGPError, match=f"not in AS{asn}"):
-            table.cost(foreign, inside)
-        with pytest.raises(IGPError, match=f"not in AS{asn}"):
-            table.path(foreign, inside)
-        with pytest.raises(IGPError, match="unreachable"):
-            table.path(inside, foreign)
-        # Trivial self-path.
-        self_path = table.path(inside, inside)
-        assert self_path.routers == (inside,)
-        assert self_path.links == ()
-        assert self_path.cost == 0.0
+    table = IGPTable(topo, asn)
+    with pytest.raises(IGPError, match=f"not in AS{asn}"):
+        table.cost(foreign, inside)
+    with pytest.raises(IGPError, match=f"not in AS{asn}"):
+        table.path(foreign, inside)
+    with pytest.raises(IGPError, match="unreachable"):
+        table.path(inside, foreign)
+    # Trivial self-path.
+    self_path = table.path(inside, inside)
+    assert self_path.routers == (inside,)
+    assert self_path.links == ()
+    assert self_path.cost == 0.0
 
 
 def test_igp_path_memo_returns_same_object(topo):

@@ -7,7 +7,7 @@ from repro.cli import main as repro_main
 from repro.datasets.io import save_dataset
 from repro.netsim.conditions import BUCKET_SECONDS, NetworkConditions
 from repro.netsim.dynamics import DynamicPathSampler
-from repro.routing.bgp import ROUTING_JOBS_ENV_VAR
+from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.run import ScenarioRun, StormFlapModel
 from repro.topology import TopologyConfig, generate_topology

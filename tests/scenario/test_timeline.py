@@ -9,6 +9,7 @@ and with parallel batch convergence — following the pattern of
 
 import pytest
 
+from repro.obs import runtime as obs
 from repro.routing.bgp import BGPTable
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.timeline import ScenarioError, ScenarioTimeline
@@ -20,9 +21,8 @@ from tests.routing.test_bgp_equivalence import _gadget
 
 def _full_tables(topo, *, jobs=None):
     """Converge every destination and snapshot the route store."""
-    table = BGPTable(topo)
-    table.converge_all(jobs=jobs)
-    store = topo.routing_cache("bgp")[table.effective_algorithm()]
+    BGPTable(topo).converge_all(jobs=jobs)
+    store = topo.routing_cache("bgp")["routes"]
     return {dest: dict(routes) for dest, routes in store.items()}
 
 
@@ -58,23 +58,57 @@ def test_apply_then_revert_is_route_identical(seed, jobs):
     assert _full_tables(topo, jobs=jobs) == baseline
 
 
+def _transit_candidate(topo):
+    """Two non-adjacent ASes sharing a core-router city, or None."""
+    asns = sorted(topo.ases)
+    for a in asns:
+        for b in asns:
+            if a >= b or topo.as_link_between(a, b) is not None:
+                continue
+            if any(
+                topo.has_core_router(a, c.name) and topo.has_core_router(b, c.name)
+                for c in topo.ases[a].cities
+            ):
+                return a, b
+    return None
+
+
+def _plan_of_kind(kind, topo):
+    """A one-event plan of ``kind`` firing at t=300 on live structure."""
+    link = topo.as_links[len(topo.as_links) // 3]
+    if kind == "link-down":
+        spec = f"link-down:{link.a}-{link.b}:at=300:for=300"
+    elif kind == "depeer":
+        peer = next(al for al in topo.as_links if al.rel_ab is Relationship.PEER)
+        spec = f"depeer:{peer.a}-{peer.b}:at=300"
+    elif kind == "node-down":
+        spec = f"node-down:{min(topo.ases)}:at=300"
+    elif kind == "region-outage":
+        spec = f"region-outage:{topo.routers[0].city.region}:at=300:for=300"
+    else:
+        a, b = _transit_candidate(topo)
+        spec = f"new-transit:{a}-{b}:at=300"
+    return ScenarioPlan.parse(spec)
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_selective_salvage_matches_full_reconvergence(seed):
-    plans = [
-        lambda topo: _demo_plan(topo),
-        lambda topo: ScenarioPlan.parse(
-            f"node-down:{min(topo.ases)}:at=300"
-        ),
-    ]
-    for make_plan in plans:
-        tables = {}
-        for mode in ("affected", "full"):
-            topo = _topo_for(seed)
-            timeline = ScenarioTimeline(topo, make_plan(topo), reconverge=mode)
-            _full_tables(topo)
+    """After each plan kind, the salvaged-then-topped-up store equals a
+    from-scratch convergence of the mutated topology."""
+    kinds = ["demo", "link-down", "depeer", "node-down", "region-outage", "new-transit"]
+    for kind in kinds:
+        topo = _topo_for(seed)
+        plan = _demo_plan(topo) if kind == "demo" else _plan_of_kind(kind, topo)
+        timeline = ScenarioTimeline(topo, plan)
+        _full_tables(topo)
+        with obs.capture() as cap:
             timeline.advance_to(300.0)
-            tables[mode] = _full_tables(topo)
-        assert tables["affected"] == tables["full"]
+        counters = cap.blob()["metrics"]["counters"]
+        # Removals sift the store for salvage; added capacity drops it all.
+        assert ("scenario.dests_retained" in counters) == (kind != "new-transit")
+        salvaged = _full_tables(topo)
+        topo.routing_cache("bgp").clear()
+        assert salvaged == _full_tables(topo), kind
 
 
 def test_salvage_retains_unaffected_destinations():
@@ -92,8 +126,7 @@ def test_salvage_retains_unaffected_destinations():
     plan = ScenarioPlan.parse("link-down:1-2:at=0")
     timeline = ScenarioTimeline(topo, plan)
     timeline.advance_to(0.0)
-    store = topo.routing_cache("bgp")
-    retained = store["gao-rexford"]
+    retained = topo.routing_cache("bgp")["routes"]
     # dest 4: routes at 2, 3 and 4 never traverse 1-2 (2 won't re-export
     # its peer-learned route, so 1 never had a route to 4 to begin with).
     assert 4 in retained
@@ -139,24 +172,7 @@ def test_depeer_is_permanent_and_overlap_is_noop():
 def test_new_transit_and_region_outage_on_generated_topology():
     topo = _topo_for(3)
     baseline = _full_tables(topo)
-    # Find two non-adjacent ASes sharing a core-router city.
-    found = None
-    asns = sorted(topo.ases)
-    for a in asns:
-        for b in asns:
-            if a >= b or topo.as_link_between(a, b) is not None:
-                continue
-            shared = [
-                c.name
-                for c in topo.ases[a].cities
-                if topo.has_core_router(a, c.name)
-                and topo.has_core_router(b, c.name)
-            ]
-            if shared:
-                found = (a, b)
-                break
-        if found:
-            break
+    found = _transit_candidate(topo)
     assert found is not None, "generator topology has no transit candidate"
     a, b = found
     n_links = len(topo.links)
@@ -188,8 +204,6 @@ def test_validation_errors():
     ]:
         with pytest.raises(ScenarioError, match=fragment):
             ScenarioTimeline(topo, ScenarioPlan.parse(spec))
-    with pytest.raises(ValueError, match="reconverge mode"):
-        ScenarioTimeline(topo, ScenarioPlan(), reconverge="lazy")
 
 
 def test_timeline_is_monotonic():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.routing.bgp import ROUTING_JOBS_ENV_VAR
+from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.scenario.plan import ScenarioPlan
 from repro.service import (
     DetourService,

@@ -5,9 +5,10 @@ the object model it mirrors:
 
 - ``from_topology`` → ``to_topology`` must round-trip **byte-identically**
   (compared via pickle) across seeds, eras, and host placement;
-- the columnar solver must be route-for-route identical to
-  :class:`~repro.routing.bgp.BGPTable` (the object oracle), including on
-  scale-generated topologies converted back to objects;
+- routes converged on the arrays must be route-for-route identical to
+  the fixpoint oracle (:func:`~repro.routing.bgp.converge_fixpoint`) on
+  the object model, including on scale-generated topologies converted
+  back to objects;
 - sharded shared-memory convergence must equal the serial arrays bit
   for bit;
 - the CSR IGP matrix must reproduce every
@@ -15,9 +16,9 @@ the object model it mirrors:
 - streamed datasets must be byte-identical to in-memory builds; and
 - streaming must hold peak memory bounded at 10k-AS scale.
 
-Structural features the staged columnar solver cannot order (siblings,
-customer-provider cycles) must refuse loudly so callers fall back to the
-object fixpoint, mirroring ``tests/routing/test_bgp_equivalence.py``.
+Structural features the staged solver cannot order (siblings,
+customer-provider cycles) must refuse loudly with :class:`BGPError`,
+mirroring ``tests/routing/test_bgp_equivalence.py``.
 """
 
 import json
@@ -34,9 +35,9 @@ from repro.datasets.stream import (
     load_route_summaries,
     write_route_summaries,
 )
-from repro.routing.bgp import BGPTable
+from repro.routing.bgp import BGPTable, converge_fixpoint
 from repro.routing.columnar import (
-    ColumnarUnsupported,
+    BGPError,
     build_solver_index,
     converge_all,
     igp_matrix,
@@ -88,16 +89,29 @@ def test_round_trip_restored_topology_is_usable():
     assert table.route(max(topo.ases), dest) is not None
 
 
-# -- route-for-route identity with the object oracle ---------------------
+@pytest.mark.parametrize("era", ERAS)
+def test_relationship_index_matches_arrays(era):
+    """Both representations build the same relationship index."""
+    topo = _topo(era, 3)
+    rel = topo.relationship_index()
+    arrays_rel = from_topology(topo).relationship_arrays()
+    for name in rel.__slots__:
+        a, b = getattr(rel, name), getattr(arrays_rel, name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), name
+        else:
+            assert a == b, name
 
 
-def _assert_routes_match(topo, arrays, dests):
-    oracle = BGPTable(topo)
-    oracle.converge_all(dests)
+# -- route-for-route identity with the fixpoint oracle -------------------
+
+
+def _assert_routes_match(topo, arrays, dests, srcs=None):
     table = converge_all(arrays, dests, jobs=1)
     for dest in dests:
-        for asn in sorted(topo.ases):
-            assert table.route(asn, dest) == oracle.route(asn, dest), (
+        oracle, _rounds = converge_fixpoint(topo, dest)
+        for asn in srcs or sorted(topo.ases):
+            assert table.route(asn, dest) == oracle.get(asn), (
                 f"route divergence at AS{asn} -> AS{dest}"
             )
 
@@ -111,20 +125,15 @@ def test_columnar_routes_match_object_oracle(era, seed):
 
 
 def test_scale_generated_routes_match_object_oracle():
-    """Scale-generated arrays vs object solver on the converted topology."""
+    """Scale-generated arrays vs the fixpoint on the converted topology."""
     arrays = generate_topology_arrays(resolve_preset("1k", seed=7))
     topo = arrays.to_topology()
     rng = np.random.default_rng(0)
     dests = sorted(
         int(a) for a in rng.choice(arrays.as_asn, size=24, replace=False)
     )
-    oracle = BGPTable(topo)
-    oracle.converge_all(dests)
-    table = converge_all(arrays, dests, jobs=1)
     srcs = sorted(int(a) for a in rng.choice(arrays.as_asn, size=64, replace=False))
-    for dest in dests:
-        for asn in srcs:
-            assert table.route(asn, dest) == oracle.route(asn, dest)
+    _assert_routes_match(topo, arrays, dests, srcs)
 
 
 @pytest.mark.parametrize("seed", [3, 1999])
@@ -140,8 +149,8 @@ def test_sharded_convergence_equals_serial(seed):
 
 def test_siblings_are_unsupported():
     topo = _gadget(3, [(1, 2, Relationship.SIBLING), (2, 3, Relationship.CUSTOMER)])
-    with pytest.raises(ColumnarUnsupported):
-        build_solver_index(from_topology(topo))
+    with pytest.raises(BGPError, match="SIBLING"):
+        build_solver_index(from_topology(topo).relationship_arrays())
 
 
 def test_provider_cycle_is_unsupported():
@@ -153,8 +162,8 @@ def test_provider_cycle_is_unsupported():
             (3, 1, Relationship.CUSTOMER),
         ],
     )
-    with pytest.raises(ColumnarUnsupported):
-        build_solver_index(from_topology(topo))
+    with pytest.raises(BGPError, match="customer-provider cycle"):
+        build_solver_index(from_topology(topo).relationship_arrays())
 
 
 # -- IGP on CSR ----------------------------------------------------------
@@ -224,7 +233,7 @@ def test_streaming_memory_stays_bounded_at_10k(tmp_path):
     """Peak traced allocation is O(n_as * block), not O(n_as * dests)."""
     arrays = generate_topology_arrays(resolve_preset("10k", seed=1))
     dests = [int(a) for a in arrays.as_asn[:: arrays.n_as // 256]]
-    index = build_solver_index(arrays)
+    index = build_solver_index(arrays.relationship_arrays())
     tracemalloc.start()
     for _ in iter_route_summaries(arrays, dests, block=64, index=index):
         pass
