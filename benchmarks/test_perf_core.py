@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import AlternatePathFinder, Metric, build_graph
+from repro.core import AlternatePathFinder, Metric, build_graph, greedy_host_removal
 from repro.measurement import Campaign, poisson_pairs
 from repro.netsim import NetworkConditions, PathSampler, SECONDS_PER_DAY
 from repro.routing import BGPTable, PathResolver
@@ -94,11 +94,10 @@ def test_perf_alternate_search(benchmark, env):
     assert alternates
 
 
-def test_perf_direct_edge_rerun_path(benchmark):
-    """Worst case for the exclusion re-run: a complete graph whose direct
-    edges are almost always the unconstrained shortest path, forcing one
-    excluded-edge Dijkstra per pair (exercises the patched-CSR path that
-    replaced the per-pair dense rebuild)."""
+@pytest.fixture(scope="module")
+def complete_graph():
+    """A complete 40-host RTT graph whose direct edges are almost always
+    the unconstrained shortest path (the worst case for re-runs)."""
     from repro.core.graph import EdgeData, MetricGraph
     from repro.core.stats import SampleStats
 
@@ -114,12 +113,28 @@ def test_perf_direct_edge_rerun_path(benchmark):
                 (a, b),
                 EdgeData(value=value, stats=SampleStats(n=9, mean=value, var=0.1)),
             )
+    return graph
+
+
+def test_perf_direct_edge_rerun_path(benchmark, complete_graph):
+    """Worst case for the exclusion re-run: nearly every pair needs an
+    excluded-edge search (exercises the stacked re-run that replaced one
+    Dijkstra call per pair, itself the replacement of a per-pair dense
+    rebuild)."""
 
     def search():
-        return AlternatePathFinder(graph).best_all()
+        return AlternatePathFinder(complete_graph).best_all()
 
     alternates = benchmark(search)
+    hosts = complete_graph.hosts
     assert len(alternates) == len(hosts) * (len(hosts) - 1)
+
+
+def test_perf_greedy_host_removal(benchmark, complete_graph):
+    """Figure 12's greedy loop on the complete graph: every step prices
+    all remaining hosts, re-solving only the pairs routed via each."""
+    steps = benchmark(greedy_host_removal, complete_graph, k=2)
+    assert len(steps) == 2
 
 
 @pytest.fixture(scope="module")

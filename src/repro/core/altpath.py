@@ -12,11 +12,14 @@ valid for loss, after which the composed loss is recomputed exactly.
 The batch search runs one Dijkstra per source on the full graph; the
 direct edge can only appear as the *entire* shortest path (a simple path
 from A to B cannot use edge (A,B) mid-path), so the exclusion only forces
-a re-run for destinations whose shortest path IS the direct edge.
+a re-run for destinations whose shortest path IS the direct edge.  All of
+one source's re-runs share a single Dijkstra call over a block-diagonal
+stack of edge-excluded copies of the graph.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -35,6 +38,11 @@ _EPSILON = 1e-12
 #: larger graphs fall back to the O(n^2)-memory per-intermediate loop.
 #: 64 MiB covers ~200 hosts — far above any Table 1 dataset.
 _ONE_HOP_BROADCAST_CAP_BYTES = 64 * 1024 * 1024
+
+#: Memory ceiling for the CSR arrays of one stacked re-run search; a
+#: source with more direct-edge re-runs is split into chunks.  64 MiB
+#: holds ~3,500 copies of a complete 40-host graph.
+_RERUN_STACK_CAP_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,26 +143,22 @@ class AlternatePathFinder:
             self._base = base
         return self._base
 
-    def _csr_excluding(self, src_idx: int, dst_idx: int) -> csr_matrix:
-        """The base CSR with one directed edge removed.
+    def without_host(self, host: str) -> AlternatePathFinder:
+        """This finder with every edge of ``host`` removed.
 
-        Only the base matrix's data vector is copied (O(E)); the sparsity
-        structure is shared, and the excluded entry's weight is patched to
-        +inf, which Dijkstra treats as absent.  This keeps the direct-edge
-        re-run path from paying an O(V^2) dense copy + CSR rebuild per
-        pair.
+        For pairs not touching ``host`` it answers exactly as
+        ``AlternatePathFinder(graph.without_hosts({host}))`` does: the
+        host keeps its index but no stored edge reaches it, so every
+        Dijkstra run makes the same heap moves, in the same order, as on
+        the smaller graph.  Pairs touching ``host`` get no alternate.
         """
-        base = self._csr()
-        start, end = base.indptr[src_idx], base.indptr[src_idx + 1]
-        row_cols = base.indices[start:end]
-        pos = int(np.searchsorted(row_cols, dst_idx))
-        if pos == len(row_cols) or row_cols[pos] != dst_idx:
-            return base  # edge not stored; nothing to exclude
-        data = base.data.copy()
-        data[start + pos] = np.inf
-        return csr_matrix(
-            (data, base.indices, base.indptr), shape=base.shape
-        )
+        i = self.graph.host_index(host)
+        sub = copy.copy(self)
+        sub._weights = self._weights.copy()
+        sub._weights[i, :] = np.inf
+        sub._weights[:, i] = np.inf
+        sub._base = None
+        return sub
 
     def best(self, pair: Pair) -> AlternatePath | None:
         """Best alternate path for one ordered pair, or None if none exists."""
@@ -194,19 +198,22 @@ class AlternatePathFinder:
                 indices=src_idx,
                 return_predecessors=True,
             )
+            # Where the unconstrained shortest path is the direct edge,
+            # search again with that single edge excluded.
+            direct = [
+                d for d in dst_idxs if np.isfinite(dist[d]) and pred[d] == src_idx
+            ]
+            excluded = self._best_excluding(src_idx, direct) if direct else {}
             for dst_idx in dst_idxs:
                 pair = (hosts[src_idx], hosts[dst_idx])
                 if not np.isfinite(dist[dst_idx]):
                     continue
                 if pred[dst_idx] == src_idx:
-                    # The unconstrained shortest path is the direct edge;
-                    # re-run with that single edge excluded.
-                    obs.count("core.altpath.reruns")
-                    alt = self._rerun(src_idx, dst_idx)
-                    if alt is not None:
-                        out[pair] = alt
-                    continue
-                hops = _reconstruct(hosts, pred, src_idx, dst_idx)
+                    hops = excluded.get(dst_idx)
+                    if hops is None:
+                        continue
+                else:
+                    hops = _reconstruct(hosts, pred, src_idx, dst_idx)
                 out[pair] = AlternatePath(
                     src=pair[0],
                     dst=pair[1],
@@ -215,22 +222,64 @@ class AlternatePathFinder:
                 )
         return out
 
-    def _rerun(self, src_idx: int, dst_idx: int) -> AlternatePath | None:
-        graph = self.graph
-        hosts = graph.hosts
-        mat = self._csr_excluding(src_idx, dst_idx)
-        dist, pred = _dijkstra(
-            mat, directed=True, indices=src_idx, return_predecessors=True
+    def _excluding_stack(self, src_idx: int, dst_idxs: list[int]) -> csr_matrix:
+        """Block-diagonal stack of base-CSR copies, one per destination.
+
+        Block ``k`` holds nodes ``k*n .. k*n + n - 1`` and is the base
+        graph with edge ``(src_idx, dst_idxs[k])`` patched to +inf, which
+        Dijkstra treats as absent.  Every ``(src_idx, dst)`` must be a
+        stored edge; the base matrix is not modified.
+        """
+        base = self._csr()
+        n, nnz, m = base.shape[0], base.nnz, len(dst_idxs)
+        row_start = base.indptr[src_idx]
+        row_cols = base.indices[row_start : base.indptr[src_idx + 1]]
+        slots = row_start + np.searchsorted(row_cols, dst_idxs)
+        blocks = np.arange(m)
+        data = np.tile(base.data, m)
+        data[blocks * nnz + slots] = np.inf
+        indices = (base.indices[None, :] + (blocks * n)[:, None]).ravel()
+        indptr = np.append(
+            (base.indptr[None, :-1] + (blocks * nnz)[:, None]).ravel(), m * nnz
         )
-        if not np.isfinite(dist[dst_idx]):
-            return None
-        hops = _reconstruct(hosts, pred, src_idx, dst_idx)
-        return AlternatePath(
-            src=hosts[src_idx],
-            dst=hosts[dst_idx],
-            hops=hops,
-            value=_composed_value(graph, hops),
-        )
+        return csr_matrix((data, indices, indptr), shape=(m * n, m * n))
+
+    def _best_excluding(
+        self, src_idx: int, dst_idxs: list[int]
+    ) -> dict[int, tuple[Pair, ...]]:
+        """Shortest src->dst hops avoiding the direct edge, per destination.
+
+        One multi-source Dijkstra per chunk of the excluding stack: the
+        blocks are disconnected, so each source's search stays inside
+        its own copy, and ``min_only=True`` keeps the output one row over
+        the stack instead of one row per source.  Destinations left
+        unreachable are omitted.
+        """
+        obs.count("core.altpath.reruns", len(dst_idxs))
+        base = self._csr()
+        n = base.shape[0]
+        block_bytes = base.data.nbytes + base.indices.nbytes + base.indptr.nbytes
+        per_chunk = max(1, _RERUN_STACK_CAP_BYTES // block_bytes)
+        out: dict[int, tuple[Pair, ...]] = {}
+        for lo in range(0, len(dst_idxs), per_chunk):
+            chunk = dst_idxs[lo : lo + per_chunk]
+            offsets = np.arange(len(chunk)) * n
+            dist, pred, _ = _dijkstra(
+                self._excluding_stack(src_idx, chunk),
+                directed=True,
+                indices=offsets + src_idx,
+                return_predecessors=True,
+                min_only=True,
+            )
+            for offset, dst_idx in zip(offsets.tolist(), chunk):
+                if np.isfinite(dist[offset + dst_idx]):
+                    # Shift the block's predecessors back to host indices
+                    # (scipy's negative "none" marker stays negative).
+                    block_pred = pred[offset : offset + n] - offset
+                    out[dst_idx] = _reconstruct(
+                        self.graph.hosts, block_pred, src_idx, dst_idx
+                    )
+        return out
 
 
 def best_one_hop_alternates(

@@ -15,12 +15,15 @@ the prevalence of superior alternates:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from repro.core.altpath import AlternatePathFinder
 from repro.core.analysis import AnalysisResult, analyze_graph
 from repro.core.graph import Metric, MetricGraph
 from repro.core.stats import CDFSeries, make_cdf
+from repro.obs import runtime as obs
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +47,54 @@ def _mean_improvement(result: AnalysisResult) -> float:
     return float(imp.mean()) if imp.size else 0.0
 
 
+def _candidate_improvements(
+    result: AnalysisResult,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Each host's removal, priced without re-analysing the whole graph.
+
+    Yields ``(host, improvements)`` per host of ``result.graph``, in host
+    order, where ``improvements`` equals
+    ``analyze_graph(graph.without_hosts({host})).improvements()`` element
+    for element.  Removing a vertex never shortens a path, and Dijkstra
+    accumulates a path's cost in the same order whatever else the graph
+    holds, so every pair whose best alternate avoids ``host`` keeps it;
+    only the pairs routed via ``host`` are searched again.  (Where another
+    path ties the old one exactly, keeping it relies on Dijkstra breaking
+    the tie the same way without ``host``; the differential tests check
+    tie-heavy graphs against the full re-analysis.)  Comparisons stay in
+    the result's sorted-pair order, so the vector's mean is bit-identical
+    to the full re-analysis.
+    """
+    graph = result.graph
+    comparisons = result.comparisons
+    base = result.improvements()
+    ends = np.array(
+        [(graph.host_index(c.src), graph.host_index(c.dst)) for c in comparisons],
+        dtype=int,
+    ).reshape(-1, 2)
+    routed: dict[str, list[int]] = {h: [] for h in graph.hosts}
+    for i, comp in enumerate(comparisons):
+        for mid in comp.via:
+            routed[mid].append(i)
+    finder = AlternatePathFinder(graph)
+    for h_idx, host in enumerate(graph.hosts):
+        keep = (ends[:, 0] != h_idx) & (ends[:, 1] != h_idx)
+        improvements = base.copy()
+        if routed[host]:
+            obs.count("core.hosts.pairs_resolved", len(routed[host]))
+            pairs = [(comparisons[i].src, comparisons[i].dst) for i in routed[host]]
+            alternates = finder.without_host(host).best_all(pairs)
+            for i, pair in zip(routed[host], pairs):
+                alt = alternates.get(pair)
+                if alt is None:
+                    keep[i] = False
+                else:
+                    # The finder serves lower-is-better metrics only, so
+                    # this is PairComparison.improvement.
+                    improvements[i] = comparisons[i].default_value - alt.value
+        yield host, improvements[keep]
+
+
 def greedy_host_removal(
     graph: MetricGraph,
     k: int = 10,
@@ -55,7 +106,9 @@ def greedy_host_removal(
     "We use a simple greedy algorithm to select the hosts; at each step we
     remove the host whose removal shifts the CDF the farthest to the
     left."  The left-shift is measured by the post-removal mean
-    improvement.
+    improvement.  Each step prices every candidate incrementally from
+    the current graph's analysis (see :func:`_candidate_improvements`)
+    and analyses only the chosen host's graph in full.
 
     Returns:
         One :class:`RemovalStep` per removal, in removal order.
@@ -63,29 +116,34 @@ def greedy_host_removal(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     steps: list[RemovalStep] = []
-    current = graph
-    for _ in range(min(k, max(len(current.hosts) - 3, 0))):
-        best_host: str | None = None
-        best_mean = np.inf
-        best_result: AnalysisResult | None = None
-        for host in current.hosts:
-            candidate = current.without_hosts({host})
-            result = analyze_graph(candidate, dataset_name=dataset_name)
-            if not result.comparisons:
-                continue
-            mean = _mean_improvement(result)
-            if mean < best_mean:
-                best_host, best_mean, best_result = host, mean, result
-        if best_host is None or best_result is None:
-            break
-        steps.append(
-            RemovalStep(
-                removed=best_host,
-                mean_improvement=best_mean,
-                result=best_result,
+    n_steps = min(k, max(len(graph.hosts) - 3, 0))
+    candidates = 0
+    with obs.span("core.hosts.greedy_removal") as sp:
+        current = analyze_graph(graph, dataset_name=dataset_name) if n_steps else None
+        for _ in range(n_steps):
+            best_host: str | None = None
+            best_mean = np.inf
+            for host, improvements in _candidate_improvements(current):
+                candidates += 1
+                if not improvements.size:
+                    continue
+                mean = float(improvements.mean())
+                if mean < best_mean:
+                    best_host, best_mean = host, mean
+            if best_host is None:
+                break
+            current = analyze_graph(
+                current.graph.without_hosts({best_host}), dataset_name=dataset_name
             )
-        )
-        current = current.without_hosts({best_host})
+            steps.append(
+                RemovalStep(
+                    removed=best_host,
+                    mean_improvement=_mean_improvement(current),
+                    result=current,
+                )
+            )
+        sp.set("steps", len(steps))
+        sp.set("candidates", candidates)
     return steps
 
 

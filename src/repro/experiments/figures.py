@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.analysis import analyze, analyze_bandwidth
+from repro.core.analysis import analyze, analyze_bandwidth, analyze_graph
 from repro.core.ases import as_popularity, popularity_correlation
 from repro.core.bandwidth import LossComposition
 from repro.core.episodes import analyze_episodes
@@ -354,7 +354,7 @@ def figure12(
     """Figure 12: greedy removal of the 'top ten' hosts (UW3 RTT)."""
     _require(datasets, [dataset])
     graph = build_graph(datasets[dataset], Metric.RTT, min_samples=min_samples)
-    baseline = analyze(datasets[dataset], Metric.RTT, min_samples=min_samples)
+    baseline = analyze_graph(graph, dataset_name=dataset)
     steps = greedy_host_removal(graph, k=k, dataset_name=dataset)
     full, pruned = removal_cdfs(baseline, steps)
     title = f"Figure 12: improvement CDF before/after removing top {k} hosts ({dataset})"

@@ -203,9 +203,18 @@ def test_direct_edge_never_its_own_alternate(seed):
         )
 
 
+def _first_rows(g, limit=10):
+    """The first ``limit`` measured pairs as ``{src_idx: [dst_idx, ...]}``."""
+    rows = {}
+    for src, dst in sorted(g.edges)[:limit]:
+        rows.setdefault(g.host_index(src), []).append(g.host_index(dst))
+    return rows
+
+
 def test_rerun_matches_dense_exclusion(mini_dataset):
-    """The patched-CSR exclusion re-run gives the same answers as naively
-    rebuilding the CSR from a dense matrix with the entry removed."""
+    """Each block of the batched exclusion stack searches the same graph
+    as naively rebuilding the CSR from a dense matrix with the entry
+    removed."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -213,21 +222,28 @@ def test_rerun_matches_dense_exclusion(mini_dataset):
 
     g = build_graph(mini_dataset, Metric.RTT, min_samples=5)
     finder = AlternatePathFinder(g)
+    n = len(g.hosts)
     checked = 0
-    for pair in sorted(g.edges)[:10]:
-        i, j = g.host_index(pair[0]), g.host_index(pair[1])
-        fast = finder._csr_excluding(i, j)
-        dense = finder._weights.copy()
-        dense[i, j] = np.inf
-        finite = np.isfinite(dense)
-        rows, cols = np.nonzero(finite)
-        slow = csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
-        np.testing.assert_allclose(
-            dijkstra(fast, directed=True, indices=i),
-            dijkstra(slow, directed=True, indices=i),
+    for i, dsts in _first_rows(g).items():
+        stack = finder._excluding_stack(i, dsts)
+        fast = dijkstra(
+            stack,
+            directed=True,
+            indices=[k * n + i for k in range(len(dsts))],
+            min_only=True,
         )
-        checked += 1
-    assert checked
+        for k, j in enumerate(dsts):
+            dense = finder._weights.copy()
+            dense[i, j] = np.inf
+            finite = np.isfinite(dense)
+            rows, cols = np.nonzero(finite)
+            slow = csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
+            np.testing.assert_allclose(
+                fast[k * n : (k + 1) * n],
+                dijkstra(slow, directed=True, indices=i),
+            )
+            checked += 1
+    assert checked == 10
 
 
 def test_exclusion_does_not_mutate_base(mini_dataset):
@@ -235,10 +251,9 @@ def test_exclusion_does_not_mutate_base(mini_dataset):
 
     g = build_graph(mini_dataset, Metric.RTT, min_samples=5)
     finder = AlternatePathFinder(g)
-    pair = sorted(g.edges)[0]
-    i, j = g.host_index(pair[0]), g.host_index(pair[1])
     before = finder._csr().data.copy()
-    finder._csr_excluding(i, j)
+    for i, dsts in _first_rows(g).items():
+        finder._best_excluding(i, dsts)
     np.testing.assert_array_equal(finder._csr().data, before)
 
 
