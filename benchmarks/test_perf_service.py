@@ -17,9 +17,14 @@ from repro.service import DetourService, evaluate_strategies
 from conftest import bench_seed, run_once
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def service():
-    """A mid-sized deployment: 12 hosts, 6 pairs, 4 congestion buckets."""
+    """A mid-sized deployment: 12 hosts, 6 pairs, 4 congestion buckets.
+
+    Fresh per test and built outside the timed call: the first run of a
+    service builds its environment replay, so a shared instance would
+    hand every later benchmark a warm replay.
+    """
     return DetourService(
         seed=bench_seed(),
         n_hosts=12,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 
 class StatsError(ValueError):
@@ -106,7 +106,9 @@ class DiffEstimate:
             raise StatsError(f"confidence must be in (0,1), got {confidence}")
         if self.se == 0.0:
             return (self.diff, self.diff)
-        tq = float(sps.t.ppf(0.5 + confidence / 2.0, max(self.dof, 1.0)))
+        # Student's t quantile (scipy.stats.t.ppf) without importing
+        # scipy.stats, which dominates the package's import time.
+        tq = float(special.stdtrit(max(self.dof, 1.0), 0.5 + confidence / 2.0))
         return (self.diff - tq * self.se, self.diff + tq * self.se)
 
     def classify(self, confidence: float = 0.95) -> Comparison:

@@ -13,7 +13,7 @@ The simulation is event-driven on a deterministic virtual clock:
 
 * **topology events** — :class:`~repro.scenario.timeline.ScenarioTimeline`
   transitions split the horizon into segments; at each boundary the
-  service re-resolves every overlay leg and drives
+  service switches to that segment's resolved overlay legs and drives
   :meth:`~repro.service.store.PathStore.mark_path_down` /
   :meth:`~repro.service.store.PathStore.mark_path_up` reactive failover;
 * **probe rounds** — every ``probe_interval_s`` the service probes all
@@ -27,9 +27,20 @@ The simulation is event-driven on a deterministic virtual clock:
   from the current congestion bucket (no randomness is consumed, so
   request volume never perturbs the probe streams).
 
+Work is split by what it depends on.  Once per service, the first run
+walks the timeline and keeps every segment's resolved legs, probe
+sampler and transfer simulator (the *replay*); every strategy reads it,
+and the topology is reset when the walk ends.  Once per (segment,
+congestion bucket), one vectorized pass computes every candidate's
+expected RTT/loss and each pair's oracle (the *candidate table*, built
+with the replay).  Once per strategy run, only the store's estimates
+and health, the RNG streams and the records are new; a request is a
+strategy call plus table lookups.
+
 Every random stream derives from the master seed via distinct tuple
 tags, so the same (plan, seed, strategy) replays byte-identically
-regardless of request count, ``--routing-jobs``, or wall-clock speed.
+regardless of request count, strategy order, ``--routing-jobs``, or
+wall-clock speed.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from repro.topology.generator import (
     generate_topology,
     place_hosts,
 )
+from repro.topology.network import Topology
 
 #: Spacing between consecutive leg probes inside one probe round, in
 #: seconds.  Non-zero so a round is a genuinely mixed-time batch (the
@@ -164,9 +176,9 @@ class DetourService:
     ``new-transit`` events must materialize links before netsim sizes
     its arrays), discovers each served pair's detour candidates on the
     pristine topology, and fixes the request schedule.  :meth:`run`
-    executes the event loop for one strategy; running several strategies
-    on the same service replays the identical environment and schedule,
-    which is what makes the evaluator's comparison fair.
+    executes the event loop for one strategy; every strategy run on the
+    same service reads one shared environment replay and the same
+    schedule, which is what makes the evaluator's comparison fair.
     """
 
     def __init__(
@@ -248,6 +260,7 @@ class DetourService:
         self.pairs = self._choose_pairs(n_pairs)
         self.candidates = self._discover_candidates(relays_per_pair)
         self._requests = self._request_schedule()
+        self._replay: _Replay | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -342,10 +355,86 @@ class DetourService:
         events.sort(key=lambda e: (e[0], e[1]))
         return events
 
+    # -- the environment replay ---------------------------------------------
+
+    def _environment(self) -> _Replay:
+        """The strategy-independent replay, built by the first run."""
+        if self._replay is None:
+            self._replay = self._build_replay()
+        return self._replay
+
+    def _build_replay(self) -> _Replay:
+        """Walk the timeline once, resolving every segment's legs.
+
+        The timeline is reset however the walk ends; a walk that raises
+        leaves nothing behind for the next run to reuse.  Every table a
+        run will read is filled here too, so runs only read the replay.
+        """
+        events = self._event_schedule()
+        legs = PathStore(self.hosts, self.candidates).legs()
+        starts = [0.0] + [t for t, prio, _seq, _p in events if prio == _PRIO_TOPOLOGY]
+        segments: list[_Segment] = []
+        with obs.span("service.replay") as sp:
+            try:
+                for t in starts:
+                    prev = segments[-1] if segments else None
+                    segments.append(self._build_segment(t, legs, prev))
+            finally:
+                self.timeline.reset()
+            current = 0
+            for t, prio, _seq, _p in events:
+                if prio == _PRIO_TOPOLOGY:
+                    current += 1
+                else:
+                    segments[current].table(t)
+            sp.set("segments", len(segments))
+            sp.set("legs_up", sum(len(seg.resolved) for seg in segments))
+        return _Replay(events=tuple(events), segments=tuple(segments))
+
+    def _build_segment(
+        self, t: float, legs: list[Pair], prev: _Segment | None
+    ) -> _Segment:
+        """Advance to ``t`` and resolve every leg on the live topology."""
+        with obs.span("service.segment") as sp:
+            sp.set("t", t)
+            self.timeline.advance_to(t)
+            resolver = PathResolver(self.topo)
+            resolver.bgp.converge_all(
+                sorted({self.topo.host(name).asn for name in self.hosts})
+            )
+            resolved: dict[Pair, RoundTripPath] = {}
+            for leg in legs:
+                try:
+                    resolved[leg] = resolver.resolve_round_trip(*leg)
+                except ForwardingError:
+                    continue
+            sp.set("legs_up", len(resolved))
+        healed = (
+            ()
+            if prev is None
+            else tuple(
+                leg for leg in legs if leg in resolved and leg not in prev.resolved
+            )
+        )
+        # The transfer simulator reads link capacities now, while the
+        # topology is in this segment's state.
+        return _Segment(
+            t=t,
+            legs=legs,
+            resolved=resolved,
+            healed=healed,
+            candidates=self.candidates,
+            conditions=self.conditions,
+            topo=self.topo,
+        )
+
     # -- the event loop ------------------------------------------------------
 
     def run(self, strategy: str | PathSelectionAlgorithm) -> ServiceResult:
         """Simulate the service under one strategy; deterministic.
+
+        The first run of a service builds its environment replay; every
+        run reuses it, and no run's ``wall_s`` includes building it.
 
         Args:
             strategy: A registered strategy name or a ready instance.
@@ -355,43 +444,34 @@ class DetourService:
         """
         if isinstance(strategy, str):
             strategy = create_strategy(strategy, seed=self.seed)
+        replay = self._environment()
         with obs.span("service.run") as sp:
             sp.set("strategy", strategy.name)
             sp.set("seed", self.seed)
             sp.set("pairs", len(self.pairs))
-            result = self._run(strategy)
+            result = self._run(strategy, replay)
             sp.set("requests", len(result.records))
         return result
 
-    def _run(self, strategy: PathSelectionAlgorithm) -> ServiceResult:
+    def _run(self, strategy: PathSelectionAlgorithm, replay: _Replay) -> ServiceResult:
         wall_start = clock.now()
         store = PathStore(self.hosts, self.candidates)
-        probe_rng = np.random.default_rng((self.seed, 0x980BE5))
-        transfer_rng = np.random.default_rng((self.seed, 0x7C4A5F))
-        legs = store.legs()
-        leg_index = {leg: i for i, leg in enumerate(legs)}
         run = _RunState(
-            service=self,
             store=store,
             strategy=strategy,
-            legs=legs,
-            leg_index=leg_index,
-            probe_rng=probe_rng,
-            transfer_rng=transfer_rng,
+            probe_rng=np.random.default_rng((self.seed, 0x980BE5)),
+            transfer_rng=np.random.default_rng((self.seed, 0x7C4A5F)),
         )
-        events = self._event_schedule()
-        try:
-            run.enter_segment(0.0)
-            for t, prio, _seq, payload in events:
-                if prio == _PRIO_TOPOLOGY:
-                    run.enter_segment(t)
-                elif prio == _PRIO_PROBE:
-                    run.probe_round(t)
-                else:
-                    assert payload is not None
-                    run.serve_request(t, payload)
-        finally:
-            self.timeline.reset()
+        segments = iter(replay.segments)
+        run.enter_segment(next(segments))
+        for t, prio, _seq, payload in replay.events:
+            if prio == _PRIO_TOPOLOGY:
+                run.enter_segment(next(segments))
+            elif prio == _PRIO_PROBE:
+                run.probe_round(t)
+            else:
+                assert payload is not None
+                run.serve_request(t, payload)
         wall_s = clock.now() - wall_start
         down = sum(1 for tr in store.transitions if not tr.up)
         up = len(store.transitions) - down
@@ -436,207 +516,263 @@ class DetourService:
         return events
 
 
-class _RunState:
-    """Mutable per-run state: current segment's resolved legs and sampler."""
+_Key = tuple[Pair, str | None]
+
+
+@dataclass(frozen=True, slots=True)
+class _BucketTable:
+    """Every resolvable candidate's expected quality in one bucket.
+
+    Rows follow the segment's transfer keys.  ``prop``/``qsum``/``ploss``
+    are the composed path state a transfer is measured under; the
+    expected RTT of a candidate is ``prop + qsum``.
+    """
+
+    prop: np.ndarray
+    qsum: np.ndarray
+    ploss: np.ndarray
+    #: (pair, relay) -> expected (rtt_ms, loss) of resolvable candidates.
+    expected: dict[_Key, tuple[float, float]]
+    #: pair -> (oracle rtt_ms, oracle relay); (NaN, None) when no
+    #: candidate resolves.
+    oracle: dict[Pair, tuple[float, str | None]]
+
+
+@dataclass(frozen=True, slots=True)
+class _Replay:
+    """A service's strategy-independent state: events and segments."""
+
+    events: tuple[tuple[float, int, int, Pair | None], ...]
+    segments: tuple[_Segment, ...]
+
+
+class _Segment:
+    """One topology segment, resolved once and read by every run.
+
+    Holds the segment's resolved legs, the probe sampler over them, the
+    transfer simulator over the resolvable candidates and one
+    :class:`_BucketTable` per congestion bucket, each built on first
+    request (the replay requests every bucket its events touch).
+    """
 
     def __init__(
         self,
         *,
-        service: DetourService,
+        t: float,
+        legs: list[Pair],
+        resolved: dict[Pair, RoundTripPath],
+        healed: tuple[Pair, ...],
+        candidates: dict[Pair, tuple[CandidatePath, ...]],
+        conditions: NetworkConditions,
+        topo: Topology,
+    ) -> None:
+        self.t = t
+        self.resolved = resolved
+        #: Legs resolvable now but not in the previous segment.
+        self.healed = healed
+        self.probe_legs = [leg for leg in legs if leg in resolved]
+        self.sampler = PathSampler(
+            conditions, [resolved[leg] for leg in self.probe_legs]
+        )
+        sampler_index = {leg: i for i, leg in enumerate(self.probe_legs)}
+        #: Store-order (pair, relay, (hop count, prop RTT) or None if down).
+        self.health: list[tuple[Pair, str | None, tuple[int, float] | None]] = []
+        paths: dict[_Key, _CompositePath] = {}
+        for pair, cands in candidates.items():
+            for cand in cands:
+                if not all(leg in resolved for leg in cand.legs):
+                    self.health.append((pair, cand.relay, None))
+                    continue
+                rts = [resolved[leg] for leg in cand.legs]
+                hops = sum(rt.forward.hop_count for rt in rts)
+                prop = sum(rt.rtt_prop_ms for rt in rts)
+                self.health.append((pair, cand.relay, (hops, prop)))
+                paths[(pair, cand.relay)] = _CompositePath(
+                    link_ids=tuple(l for rt in rts for l in rt.link_ids),
+                    rtt_prop_ms=prop,
+                )
+        self.keys: list[_Key] = sorted(
+            paths, key=lambda k: (k[0], k[1] is not None, k[1] or "")
+        )
+        self.tcp = (
+            TCPTransferSimulator(topo, [paths[k] for k in self.keys])
+            if self.keys
+            else None
+        )
+        self.tcp_indices = np.arange(len(self.keys), dtype=np.int64)
+        # Each row's legs as sampler indices; a default path's missing
+        # second leg points at a zero sentinel one past the last leg.
+        leg_a: list[int] = []
+        leg_b: list[int] = []
+        for pair, relay in self.keys:
+            if relay is None:
+                leg_a.append(sampler_index[pair])
+                leg_b.append(len(self.probe_legs))
+            else:
+                leg_a.append(sampler_index[(pair[0], relay)])
+                leg_b.append(sampler_index[(relay, pair[1])])
+        self._leg_a = np.array(leg_a, dtype=np.int64)
+        self._leg_b = np.array(leg_b, dtype=np.int64)
+        # Each pair's candidates as rows, in store order; a candidate that
+        # does not resolve (and the padding) points one past the last row.
+        row_of = {key: i for i, key in enumerate(self.keys)}
+        down = len(self.keys)
+        width = max(len(cands) for cands in candidates.values())
+        self._pairs = list(candidates)
+        self._oracle_rows = np.array(
+            [
+                [row_of.get((pair, cand.relay), down) for cand in cands]
+                + [down] * (width - len(cands))
+                for pair, cands in candidates.items()
+            ],
+            dtype=np.int64,
+        )
+        self._tables: dict[int, _BucketTable] = {}
+
+    def table(self, t: float) -> _BucketTable:
+        """The candidate table of ``t``'s congestion bucket."""
+        bucket = int(t // BUCKET_SECONDS)
+        table = self._tables.get(bucket)
+        if table is None:
+            table = self._tables[bucket] = self._build_table(t)
+        return table
+
+    def _build_table(self, t: float) -> _BucketTable:
+        """One vectorized pass over every resolvable candidate.
+
+        Float64 operations in the order of a per-candidate scalar sum:
+        ``(prop_a + prop_b) + (q_a + q_b)`` and
+        ``1 - (1 - p_a)(1 - p_b)``.  The sentinel leg adds exactly
+        nothing (``x + 0.0 == x``, ``y * 1.0 == y``).
+        """
+        view = self.sampler.bucket_view(t)
+        prop = np.append(view.prop, 0.0)
+        qsum = np.append(view.qsum, 0.0)
+        survive = 1.0 - np.append(view.ploss, 0.0)
+        a, b = self._leg_a, self._leg_b
+        prop_rows = prop[a] + prop[b]
+        qsum_rows = qsum[a] + qsum[b]
+        ploss_rows = 1.0 - survive[a] * survive[b]
+        rtt = prop_rows + qsum_rows
+        # The oracle is the lowest expected RTT; argmin keeps the first
+        # in store order on ties, and the +inf pad marks "down".
+        best = np.argmin(np.append(rtt, np.inf)[self._oracle_rows], axis=1)
+        rows = self._oracle_rows[np.arange(len(best)), best].tolist()
+        rtt_list = rtt.tolist()
+        oracle = {
+            pair: (
+                (math.nan, None)
+                if row == len(self.keys)
+                else (rtt_list[row], self.keys[row][1])
+            )
+            for pair, row in zip(self._pairs, rows)
+        }
+        return _BucketTable(
+            prop=prop_rows,
+            qsum=qsum_rows,
+            ploss=ploss_rows,
+            expected=dict(zip(self.keys, zip(rtt_list, ploss_rows.tolist()))),
+            oracle=oracle,
+        )
+
+
+class _RunState:
+    """Per-run state: store health and estimates, RNG streams, records."""
+
+    def __init__(
+        self,
+        *,
         store: PathStore,
         strategy: PathSelectionAlgorithm,
-        legs: list[Pair],
-        leg_index: dict[Pair, int],
         probe_rng: np.random.Generator,
         transfer_rng: np.random.Generator,
     ) -> None:
-        self.service = service
         self.store = store
         self.strategy = strategy
-        self.legs = legs
-        self.leg_index = leg_index
         self.probe_rng = probe_rng
         self.transfer_rng = transfer_rng
         self.records: list[RequestRecord] = []
         self.probes_sent = 0
         self.probes_lost = 0
         self.transfers = 0
-        # Per-segment state, filled by enter_segment.
-        self.resolved: dict[Pair, RoundTripPath] = {}
-        self.sampler: PathSampler | None = None
-        self.sampler_index: dict[Pair, int] = {}
-        self.tcp: TCPTransferSimulator | None = None
-        self.tcp_index: dict[tuple[Pair, str | None], int] = {}
-        self.last_bw: dict[tuple[Pair, str | None], float] = {}
-        self._prev_resolved: set[Pair] | None = None
+        self.segment: _Segment | None = None
+        self.last_bw: dict[_Key, float] = {}
 
     # -- topology transitions ------------------------------------------------
 
-    def enter_segment(self, t: float) -> None:
-        """Re-resolve every leg at a topology boundary and fail over."""
-        svc = self.service
-        with obs.span("service.segment") as sp:
-            sp.set("t", t)
-            svc.timeline.advance_to(t)
-            resolver = PathResolver(svc.topo)
-            resolver.bgp.converge_all(
-                sorted({svc.topo.host(name).asn for name in svc.hosts})
+    def enter_segment(self, segment: _Segment) -> None:
+        """Switch to a replayed segment and drive reactive failover."""
+        self.segment = segment
+        for leg in segment.healed:
+            # The leg healed: estimates taken on the pre-outage path must
+            # not steer selection on the new one.
+            self.store.reset_leg(leg)
+        for pair, relay, facts in segment.health:
+            if facts is None:
+                if self.store.mark_path_down(pair, relay, t=segment.t):
+                    obs.count("service.path_down")
+                continue
+            hops, prop = facts
+            self.store.set_path_facts(
+                pair, relay, hop_count=hops, prop_rtt_ms=prop
             )
-            resolved: dict[Pair, RoundTripPath] = {}
-            for leg in self.legs:
-                try:
-                    resolved[leg] = resolver.resolve_round_trip(*leg)
-                except ForwardingError:
-                    continue
-            sp.set("legs_up", len(resolved))
-        if self._prev_resolved is not None:
-            for leg in self.legs:
-                if leg in resolved and leg not in self._prev_resolved:
-                    # The leg healed: estimates taken on the pre-outage
-                    # path must not steer selection on the new one.
-                    self.store.reset_leg(leg)
-        self._prev_resolved = set(resolved)
-        self.resolved = resolved
-        ordered = [leg for leg in self.legs if leg in resolved]
-        self.sampler = PathSampler(
-            svc.conditions, [resolved[leg] for leg in ordered]
-        )
-        self.sampler_index = {leg: i for i, leg in enumerate(ordered)}
-        self._update_health(t)
-        self._rebuild_tcp()
-
-    def _update_health(self, t: float) -> None:
-        """Drive mark_path_down / mark_path_up from the resolved legs."""
-        for pair in self.store.pairs:
-            for cand in self.store.candidates(pair):
-                if all(leg in self.resolved for leg in cand.legs):
-                    hops = sum(
-                        self.resolved[leg].forward.hop_count for leg in cand.legs
-                    )
-                    prop = sum(
-                        self.resolved[leg].rtt_prop_ms for leg in cand.legs
-                    )
-                    self.store.set_path_facts(
-                        pair, cand.relay, hop_count=hops, prop_rtt_ms=prop
-                    )
-                    if self.store.mark_path_up(pair, cand.relay, t=t):
-                        obs.count("service.path_up")
-                else:
-                    if self.store.mark_path_down(pair, cand.relay, t=t):
-                        obs.count("service.path_down")
-
-    def _rebuild_tcp(self) -> None:
-        """Composite-path transfer simulator over resolvable candidates."""
-        paths: list[_CompositePath] = []
-        index: dict[tuple[Pair, str | None], int] = {}
-        for pair in self.store.pairs:
-            for cand in self.store.candidates(pair):
-                if not all(leg in self.resolved for leg in cand.legs):
-                    continue
-                link_ids: tuple[int, ...] = ()
-                prop = 0.0
-                for leg in cand.legs:
-                    rt = self.resolved[leg]
-                    link_ids = link_ids + rt.link_ids
-                    prop += rt.rtt_prop_ms
-                index[(pair, cand.relay)] = len(paths)
-                paths.append(
-                    _CompositePath(link_ids=link_ids, rtt_prop_ms=prop)
-                )
-        self.tcp = TCPTransferSimulator(self.service.topo, paths) if paths else None
-        self.tcp_index = index
+            if self.store.mark_path_up(pair, relay, t=segment.t):
+                obs.count("service.path_up")
 
     # -- probing -------------------------------------------------------------
 
     def probe_round(self, t: float) -> None:
         """One active-probing round: batched leg probes plus transfers."""
-        assert self.sampler is not None
-        ordered = [leg for leg in self.legs if leg in self.sampler_index]
-        if not ordered:
+        seg = self.segment
+        assert seg is not None
+        legs = seg.probe_legs
+        if not legs:
             return
         with obs.span("service.probe_round") as sp:
             sp.set("t", t)
-            sp.set("legs", len(ordered))
-            ts = np.array(
-                [t + i * PROBE_STAGGER_S for i in range(len(ordered))]
+            sp.set("legs", len(legs))
+            ts = t + PROBE_STAGGER_S * np.arange(len(legs))
+            rtts = seg.sampler.probe_batch(
+                ts, self.probe_rng, np.arange(len(legs), dtype=np.int64)
             )
-            indices = np.array(
-                [self.sampler_index[leg] for leg in ordered], dtype=np.int64
-            )
-            rtts = self.sampler.probe_batch(ts, self.probe_rng, indices)
-            for leg, rtt in zip(ordered, rtts):
-                self.store.record_leg_probe(leg, float(rtt))
-            self.probes_sent += len(ordered)
+            for leg, rtt in zip(legs, rtts.tolist()):
+                self.store.record_leg_probe(leg, rtt)
+            self.probes_sent += len(legs)
             lost = int(np.count_nonzero(np.isnan(rtts)))
             self.probes_lost += lost
-            obs.count("service.probes", len(ordered))
+            obs.count("service.probes", len(legs))
             if lost:
                 obs.count("service.probes_lost", lost)
             self._transfer_round(t)
 
     def _transfer_round(self, t: float) -> None:
         """Measure one TCP transfer per resolvable candidate, batched."""
-        if self.tcp is None or not self.tcp_index:
+        seg = self.segment
+        assert seg is not None
+        if seg.tcp is None:
             return
-        assert self.sampler is not None
-        view = self.sampler.bucket_view(t)
-        keys = sorted(
-            self.tcp_index, key=lambda k: (k[0], k[1] is not None, k[1] or "")
+        table = seg.table(t)
+        _rtt, _loss, bw = seg.tcp.measure_block(
+            table.prop, table.qsum, table.ploss, seg.tcp_indices, self.transfer_rng
         )
-        prop = np.empty(len(keys))
-        qsum = np.empty(len(keys))
-        ploss = np.empty(len(keys))
-        indices = np.empty(len(keys), dtype=np.int64)
-        for row, (pair, relay) in enumerate(keys):
-            legs = ((pair,) if relay is None
-                    else ((pair[0], relay), (relay, pair[1])))
-            li = [self.sampler_index[leg] for leg in legs]
-            prop[row] = float(np.sum(view.prop[li]))
-            qsum[row] = float(np.sum(view.qsum[li]))
-            ploss[row] = 1.0 - float(np.prod(1.0 - view.ploss[li]))
-            indices[row] = self.tcp_index[(pair, relay)]
-        _rtt, _loss, bw = self.tcp.measure_block(
-            prop, qsum, ploss, indices, self.transfer_rng
-        )
-        for row, key in enumerate(keys):
-            self.last_bw[key] = float(bw[row])
-        self.transfers += len(keys)
-        obs.count("service.transfers", len(keys))
+        self.last_bw.update(zip(seg.keys, bw.tolist()))
+        self.transfers += len(seg.keys)
+        obs.count("service.transfers", len(seg.keys))
 
     # -- requests ------------------------------------------------------------
 
-    def _expected(
-        self, pair: Pair, relay: str | None, t: float
-    ) -> tuple[float, float] | None:
-        """Expected (rtt, loss) of one candidate now, or None if down."""
-        assert self.sampler is not None
-        legs = ((pair,) if relay is None
-                else ((pair[0], relay), (relay, pair[1])))
-        if any(leg not in self.sampler_index for leg in legs):
-            return None
-        view = self.sampler.bucket_view(t)
-        li = [self.sampler_index[leg] for leg in legs]
-        rtt = float(np.sum(view.prop[li]) + np.sum(view.qsum[li]))
-        loss = 1.0 - float(np.prod(1.0 - view.ploss[li]))
-        return rtt, loss
-
     def serve_request(self, t: float, pair: Pair) -> None:
         """Serve one client request: strategy choice, realized quality."""
+        assert self.segment is not None
         usable = self.store.usable(pair)
         choice = self.strategy.select(pair, usable)
         obs.count("service.requests")
         if choice.relay is not None:
             obs.count("service.deflections")
-        realized = self._expected(pair, choice.relay, t)
-        direct = self._expected(pair, None, t)
-        oracle_rtt = math.nan
-        oracle_relay: str | None = None
-        for cand in self.store.candidates(pair):
-            got = self._expected(pair, cand.relay, t)
-            if got is None:
-                continue
-            if math.isnan(oracle_rtt) or got[0] < oracle_rtt:
-                oracle_rtt, oracle_relay = got[0], cand.relay
+        table = self.segment.table(t)
+        realized = table.expected.get((pair, choice.relay))
+        direct = table.expected.get((pair, None))
+        oracle_rtt, oracle_relay = table.oracle[pair]
         failed = realized is None
         if failed:
             obs.count("service.requests_failed")

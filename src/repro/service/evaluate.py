@@ -1,8 +1,10 @@
 """Score path-selection strategies against the paper's oracle alternates.
 
-The evaluator replays the *same* :class:`~repro.service.detour.DetourService`
-environment — identical topology, scenario timeline, probe draws, and
-request schedule — once per strategy, then condenses each run into a
+The evaluator runs every strategy on the *same*
+:class:`~repro.service.detour.DetourService` — one environment replay
+(topology segments, resolved legs, congestion tables) built by the first
+run and shared by the rest, with identical probe draws and request
+schedule per run — then condenses each run into a
 :class:`StrategyScore` and renders the paper-style comparison table: how
 much of the oracle detour gain (the offline best alternate the paper
 computes post hoc) each online strategy actually recovered.
@@ -177,7 +179,8 @@ def evaluate_strategies(
     """Run every requested strategy over the shared service environment.
 
     Args:
-        service: The environment + schedule to replay per strategy.
+        service: The shared environment and schedule every strategy runs
+            on.
         strategies: Strategy names to score (default: all registered),
             evaluated in the given order.
 

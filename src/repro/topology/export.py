@@ -3,17 +3,20 @@
 The simulator's native structures are tuned for routing computations; for
 exploratory analysis (degree distributions, clustering, visualization in
 standard tools) they export to :mod:`networkx` graphs at either level of
-the routing hierarchy.
+the routing hierarchy.  networkx is imported on first use, so importing
+the package does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topology.asys import ASTier
 from repro.topology.network import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def as_graph(topo: Topology) -> nx.Graph:
@@ -23,6 +26,8 @@ def as_graph(topo: Topology) -> nx.Graph:
     Edge attributes: ``relationship`` (from the lower ASN's viewpoint),
     ``exchange_cities``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for asn, asys in topo.ases.items():
         graph.add_node(
@@ -48,6 +53,8 @@ def router_graph(topo: Topology) -> nx.Graph:
     Edge attributes: ``kind``, ``prop_delay_ms``, ``capacity_mbps``,
     ``link_id``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for router in topo.routers:
         graph.add_node(
@@ -91,6 +98,8 @@ def topology_stats(topo: Topology) -> TopologyStats:
     ``router_diameter_hops`` is measured on the largest connected
     component.
     """
+    import networkx as nx
+
     asg = as_graph(topo)
     rg = router_graph(topo)
     tier1 = [a for a, d in asg.nodes(data=True) if d["tier"] == ASTier.TIER1.value]

@@ -112,6 +112,21 @@ def test_confidence_interval_widens_with_confidence():
         est.confidence_interval(1.5)
 
 
+def test_confidence_interval_matches_scipy_t_quantile():
+    """The t quantile is scipy.stats.t.ppf bit for bit (dof < 1 clamps)."""
+    from scipy import stats as sps
+
+    dofs = [0.25, 1.0, 1.5, 2.0, 3.7, 5.0, 9.99, 30.0, 61.2, 250.0, 1e4, 1e7]
+    for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+        for dof in dofs:
+            est = DiffEstimate(diff=3.0, se=1.5, dof=dof)
+            tq = float(sps.t.ppf(0.5 + confidence / 2.0, max(dof, 1.0)))
+            assert est.confidence_interval(confidence) == (
+                3.0 - tq * 1.5,
+                3.0 + tq * 1.5,
+            )
+
+
 def test_diff_of_means_requires_components():
     default = SampleStats(n=10, mean=1.0, var=1.0)
     with pytest.raises(StatsError):

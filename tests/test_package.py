@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,23 @@ def test_public_functions_have_annotations():
         if signature.return_annotation is inspect.Signature.empty:
             missing.append(f"{module}.{name}")
     assert not missing, f"missing return annotations: {missing}"
+
+
+def test_entry_points_import_neither_scipy_stats_nor_networkx():
+    """Both are heavy and only needed on first use; a fresh import of the
+    package's entry points must not load them."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.service, repro.scenario\n"
+        "import repro.experiments.reproduce\n"
+        "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
