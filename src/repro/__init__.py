@@ -48,13 +48,3 @@ __all__ = [
     "analyze_bandwidth",
 ]
 
-
-def __getattr__(name: str) -> object:
-    if name == "build_all":
-        # Removed deprecated alias: point old callers at the replacements
-        # instead of a bare AttributeError.
-        raise AttributeError(
-            "repro.build_all was deprecated and is no longer exported; "
-            "use repro.ReproSession(...).build() or repro.datasets.build_all"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,6 @@ from repro.datasets.builders import (
     BuildConfig,
     DEFAULT_SEED,
     Environment,
-    build_all,
     build_d2,
     build_group,
     build_n2,
@@ -71,7 +70,6 @@ __all__ = [
     "ROUTE_SUMMARY_VERSION",
     "TracerouteRecord",
     "TransferRecord",
-    "build_all",
     "build_d2",
     "build_group",
     "build_n2",

@@ -525,20 +525,6 @@ def build_group(group: str, config: BuildConfig | None = None) -> dict[str, Data
     raise KeyError(f"unknown build group {group!r}")
 
 
-def build_all(config: BuildConfig | None = None) -> dict[str, Dataset]:
-    """Build every dataset in Table 1, keyed by the paper's names.
-
-    Composes the independent :data:`BUILD_GROUPS` serially; the parallel
-    pipeline in :mod:`repro.experiments.runner` runs the same groups
-    across worker processes and yields bit-identical datasets.
-    """
-    cfg = config or BuildConfig()
-    datasets: dict[str, Dataset] = {}
-    for group in BUILD_GROUPS:
-        datasets.update(build_group(group, cfg))
-    return {name: datasets[name] for name in table1_order()}
-
-
 def table1_order() -> list[str]:
     """Dataset names in the paper's Table 1 row order."""
     return ["D2-NA", "D2", "N2-NA", "N2", "UW1", "UW3", "UW4-A", "UW4-B"]

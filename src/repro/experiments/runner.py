@@ -4,8 +4,7 @@ Building the full Table 1 suite takes tens of seconds, so built datasets
 are cached on disk (JSONL), one file per dataset, keyed by (seed, scale).
 Benchmarks and the figure/table reproductions all obtain their data
 through :func:`provision_datasets` (or the :class:`repro.api.ReproSession`
-facade; :func:`get_datasets` is the deprecated old spelling, removed
-in 2.0).
+facade).
 
 Pipeline shape:
 
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
@@ -467,46 +465,6 @@ def provision_datasets(
     return {name: loaded[name] for name in names if name in loaded}
 
 
-def get_datasets(
-    config: BuildConfig | None = None,
-    *,
-    use_cache: bool = True,
-    jobs: int | None = None,
-    report: BuildReport | None = None,
-    progress: ProgressHook | None = None,
-    fault_plan: FaultPlan | str | None = None,
-    build_timeout: float | None = None,
-    max_attempts: int | None = None,
-    keep_going: bool = False,
-    resume: bool = False,
-) -> dict[str, Dataset]:
-    """Deprecated old spelling of :func:`provision_datasets`.
-
-    Prefer :func:`provision_datasets` or the
-    :class:`repro.api.ReproSession` facade; this wrapper will be
-    removed in 2.0 and is no longer re-exported from
-    :mod:`repro.experiments`.
-    """
-    warnings.warn(
-        "get_datasets() is deprecated and will be removed in 2.0; "
-        "use provision_datasets() or repro.ReproSession(...).build()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return provision_datasets(
-        config,
-        use_cache=use_cache,
-        jobs=jobs,
-        report=report,
-        progress=progress,
-        fault_plan=fault_plan,
-        build_timeout=build_timeout,
-        max_attempts=max_attempts,
-        keep_going=keep_going,
-        resume=resume,
-    )
-
-
 def _build_uncached(
     cfg: BuildConfig,
     groups: dict[str, tuple[str, ...]],
@@ -669,28 +627,6 @@ def provision_dataset(
         config, use_cache=use_cache, jobs=jobs, only=[name]
     )
     return datasets[name]
-
-
-def get_dataset(
-    name: str,
-    config: BuildConfig | None = None,
-    *,
-    use_cache: bool = True,
-    jobs: int | None = None,
-) -> Dataset:
-    """Deprecated old spelling of :func:`provision_dataset`.
-
-    Will be removed in 2.0; no longer re-exported from
-    :mod:`repro.experiments`.
-    """
-    warnings.warn(
-        "get_dataset() is deprecated and will be removed in 2.0; "
-        "use provision_dataset() or "
-        "repro.ReproSession(...).build(only=[name])",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return provision_dataset(name, config, use_cache=use_cache, jobs=jobs)
 
 
 def last_build_report() -> BuildReport | None:

@@ -27,7 +27,6 @@ from repro.measurement.tcp import (
     DEFAULT_MSS_BYTES,
     MATHIS_C,
     TCPTransferSimulator,
-    TransferResult,
     bottleneck_capacity_kbps,
     mathis_bandwidth_kbps,
     mathis_bandwidth_kbps_array,
@@ -59,7 +58,6 @@ __all__ = [
     "TracerouteResult",
     "TracerouteTool",
     "TransferRecord",
-    "TransferResult",
     "bottleneck_capacity_kbps",
     "detect_rate_limiters",
     "flagged_hosts",

@@ -12,9 +12,9 @@ Execution is batched: a whole campaign's randomness follows a fixed
 draw-count protocol (one control-failure uniform per request, then a
 fixed block of uniforms per executed request), so the vectorized
 ``run_traceroutes``/``run_transfers`` consume the identical generator
-stream as the retained scalar reference implementations
-(``run_traceroutes_scalar``/``run_transfers_scalar``) and produce
-byte-identical records — see tests/measurement/test_batched_equivalence.py.
+stream as the scalar reference forms in tests/measurement/oracles.py
+and produce byte-identical records — see
+tests/measurement/test_batched_equivalence.py.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.measurement.traceroute import INTER_PROBE_GAP_S
 from repro.netsim.conditions import NetworkConditions, PathSampler
 from repro.netsim.dynamics import DynamicPathSampler
 from repro.routing.dynamics import RouteFlapModel
-from repro.routing.forwarding import ForwardingError, ForwardPath, PathResolver, RoundTripPath
+from repro.routing.forwarding import ForwardPath, PathResolver, RoundTripPath
 from repro.topology.network import Topology
 
 
@@ -110,22 +110,18 @@ class Campaign:
             i for i in range(len(pairs))
             if blackout_rng.random() < pair_blackout_prob
         }
-        # Converge every destination AS up front in one batch (honors
-        # REPRO_ROUTING_JOBS) so per-pair resolution below hits warm
-        # routing state instead of converging destinations one at a time.
-        dest_asns = sorted({topo.host(name).asn for name in self._hosts})
-        self._resolver.bgp.converge_all(dest_asns)
-        self._unreachable: set[int] = set()
-        round_trips: list[RoundTripPath] = []
-        for i, (a, b) in enumerate(pairs):
-            try:
-                round_trips.append(self._resolver.resolve_round_trip(a, b))
-            except ForwardingError:
-                if not allow_unreachable:
-                    raise
-                self._unreachable.add(i)
-                round_trips.append(self._placeholder_round_trip(a, b))
-        self._round_trips = round_trips
+        resolved = self._resolver.round_trips(pairs)
+        self._unreachable = {
+            i for i, pair in enumerate(pairs) if pair not in resolved
+        }
+        if self._unreachable and not allow_unreachable:
+            # Re-resolve the first unreachable pair to raise its error.
+            self._resolver.resolve_round_trip(*pairs[min(self._unreachable)])
+        self._round_trips = [
+            resolved[pair] if pair in resolved
+            else self._placeholder_round_trip(*pair)
+            for pair in pairs
+        ]
         if flap_model is None:
             self._sampler = PathSampler(conditions, self._round_trips)
         else:
@@ -312,10 +308,11 @@ class Campaign:
         token buckets; a suppressed response is recorded as NaN exactly
         like a genuine loss — downstream tooling cannot tell them apart.
 
-        All probes of the batch are generated in one vectorized pass;
-        byte-identical to :meth:`run_traceroutes_scalar`.  Requests whose
-        pair is unreachable (scenario outages) consume no probe draws and
-        are recorded with every probe lost.
+        All probes of the batch are generated in one vectorized pass,
+        byte-identical to the per-probe reference in
+        tests/measurement/oracles.py.  Requests whose pair is unreachable
+        (scenario outages) consume no probe draws and are recorded with
+        every probe lost.
         """
         stats = CollectionStats()
         rng = self._rng
@@ -348,57 +345,16 @@ class Campaign:
             stats,
         )
 
-    def run_traceroutes_scalar(
-        self, requests: Iterable[Request]
-    ) -> tuple[list[TracerouteRecord], CollectionStats]:
-        """Per-probe reference implementation of :meth:`run_traceroutes`.
-
-        Kept as the differential-test oracle: it draws the same protocol
-        (one control uniform per request up front, then one fixed draw
-        block per probe) one value at a time.
-        """
-        stats = CollectionStats()
-        rng = self._rng
-        ordered, idx = self._prepare(requests)
-        stats.requested = len(ordered)
-        control = [rng.random() for _ in ordered]
-        exec_requests: list[Request] = []
-        rows: list[list[float]] = []
-        for req, i, roll in zip(ordered, idx, control):
-            if roll < self._control_failure_prob:
-                stats.control_failures += 1
-                continue
-            if int(i) in self._blocked:
-                stats.blacked_out += 1
-                continue
-            if int(i) in self._unreachable:
-                stats.unreachable += 1
-                rows.append([float("nan")] * PROBES_PER_TRACEROUTE)
-                exec_requests.append(req)
-                continue
-            view = self._sampler.bucket_view(req.t)
-            rows.append(
-                [view.probe_pair(int(i), rng) for _ in range(PROBES_PER_TRACEROUTE)]
-            )
-            exec_requests.append(req)
-            stats.completed += 1
-        samples = np.array(rows, dtype=np.float64).reshape(
-            len(exec_requests), PROBES_PER_TRACEROUTE
-        )
-        stats.rate_limited_probes = self._apply_rate_limits(
-            exec_requests, samples
-        )
-        return self._traceroute_records(exec_requests, samples), stats
-
     def run_transfers(
         self, requests: Iterable[Request]
     ) -> tuple[list[TransferRecord], CollectionStats]:
         """Execute npd-style TCP transfer requests.
 
-        All transfers are measured in one vectorized pass; byte-identical
-        to :meth:`run_transfers_scalar`.  Requests toward unreachable
-        pairs fail outright: no record (a TCP connection that never
-        establishes yields nothing to log), only a stats tally.
+        All transfers are measured in one vectorized pass, byte-identical
+        to the per-transfer reference in tests/measurement/oracles.py.
+        Requests toward unreachable pairs fail outright: no record (a TCP
+        connection that never establishes yields nothing to log), only a
+        stats tally.
         """
         stats = CollectionStats()
         rng = self._rng
@@ -421,39 +377,4 @@ class Campaign:
             )
             for j, req in enumerate(exec_requests)
         ]
-        return records, stats
-
-    def run_transfers_scalar(
-        self, requests: Iterable[Request]
-    ) -> tuple[list[TransferRecord], CollectionStats]:
-        """Per-transfer reference implementation of :meth:`run_transfers`."""
-        stats = CollectionStats()
-        rng = self._rng
-        ordered, idx = self._prepare(requests)
-        stats.requested = len(ordered)
-        control = [rng.random() for _ in ordered]
-        records: list[TransferRecord] = []
-        for req, i, roll in zip(ordered, idx, control):
-            if roll < self._control_failure_prob:
-                stats.control_failures += 1
-                continue
-            if int(i) in self._blocked:
-                stats.blacked_out += 1
-                continue
-            if int(i) in self._unreachable:
-                stats.unreachable += 1
-                continue
-            view = self._sampler.bucket_view(req.t)
-            result = self._tcp.measure(view, int(i), rng)
-            records.append(
-                TransferRecord(
-                    t=req.t,
-                    src=req.src,
-                    dst=req.dst,
-                    rtt_ms=result.rtt_ms,
-                    loss_rate=result.loss_rate,
-                    bandwidth_kbps=result.bandwidth_kbps,
-                )
-            )
-            stats.completed += 1
         return records, stats

@@ -16,11 +16,9 @@ the path's bottleneck capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netsim.conditions import SamplerView
 from repro.routing.forwarding import RoundTripPath
 from repro.topology.network import Topology
 
@@ -80,15 +78,6 @@ def bottleneck_capacity_kbps(topo: Topology, round_trip: RoundTripPath) -> float
     return min(caps) * 1000.0 / 8.0
 
 
-@dataclass(frozen=True, slots=True)
-class TransferResult:
-    """Outcome of one simulated TCP transfer."""
-
-    rtt_ms: float
-    loss_rate: float
-    bandwidth_kbps: float
-
-
 class TCPTransferSimulator:
     """npd-style transfer measurement over a fixed set of paths."""
 
@@ -100,7 +89,7 @@ class TCPTransferSimulator:
     #: Uniform draws consumed per transfer, in order: jitter, self-queue
     #: inflation, self-induced loss, rate noise.  Fixed so a batched
     #: ``random((n, 4))`` block consumes the same generator stream as
-    #: ``n`` scalar :meth:`measure` calls.
+    #: ``n`` one-row calls.
     DRAWS_PER_TRANSFER = 4
 
     # hotpath
@@ -139,25 +128,3 @@ class TCPTransferSimulator:
         # Small measurement noise on the achieved rate.
         bw = bw * (0.92 + (1.08 - 0.92) * u[:, 3])
         return rtt, p_eff, bw
-
-    def measure(
-        self, view: SamplerView, index: int, rng: np.random.Generator
-    ) -> TransferResult:
-        """Measure one transfer along path ``index`` in bucket ``view``.
-
-        Scalar reference for :meth:`measure_block`: routed through the
-        same code on one-element slices, so a loop of scalar calls is
-        byte-identical to one batched call with the same generator.
-        """
-        rtt, loss, bw = self.measure_block(
-            view.prop[index : index + 1],
-            view.qsum[index : index + 1],
-            view.ploss[index : index + 1],
-            np.array([index], dtype=np.int64),
-            rng,
-        )
-        return TransferResult(
-            rtt_ms=float(rtt[0]),
-            loss_rate=float(loss[0]),
-            bandwidth_kbps=float(bw[0]),
-        )

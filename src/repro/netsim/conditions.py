@@ -208,29 +208,15 @@ class SamplerView:
     qsum: np.ndarray
     ploss: np.ndarray
 
-    def probe_pair(self, index: int, rng: np.random.Generator) -> float:
-        """One probe along path ``index``; returns RTT in ms or NaN if lost.
-
-        Consumes exactly :data:`DRAWS_PER_PROBE` uniforms, making a loop
-        of scalar probes stream-equivalent to one :meth:`probe_block`.
-        """
-        u = rng.random(DRAWS_PER_PROBE).reshape(1, DRAWS_PER_PROBE)
-        rtt = _sample_probe_rtts(
-            self.prop[index : index + 1],
-            self.qsum[index : index + 1],
-            self.ploss[index : index + 1],
-            u,
-        )
-        return float(rtt[0])
-
     # hotpath
     def probe_block(
         self, rng: np.random.Generator, indices: np.ndarray | None = None
     ) -> "ProbeBatch":
         """Probe every selected path once, in one vectorized pass.
 
-        Byte-identical to calling :meth:`probe_pair` per index in order
-        with the same generator.
+        Each probe consumes :data:`DRAWS_PER_PROBE` uniforms, so the
+        result is byte-identical to probing the indices one at a time,
+        in order, with the same generator.
         """
         if indices is None:
             prop, qsum, ploss = self.prop, self.qsum, self.ploss
@@ -341,9 +327,9 @@ class BucketProbeMixin:
         """Generate a whole episode of probes in one numpy pass.
 
         Each probe ``k`` samples path ``indices[k]`` under the bucket view
-        of ``ts[k]``.  Byte-identical to the scalar reference
-        ``[self.bucket_view(t).probe_pair(i, rng) for t, i in zip(ts, indices)]``
-        with the same generator.
+        of ``ts[k]``.  Byte-identical to probing ``indices[k]`` on
+        ``self.bucket_view(ts[k])`` one probe at a time, in order, with
+        the same generator.
 
         Returns:
             RTTs in ms aligned with the inputs; NaN marks lost probes.

@@ -6,15 +6,12 @@ online analog of the paper's long-term time averages — deliberately
 simple, because the point of the overlay evaluation is to ask how much of
 the paper's *oracle* gain survives estimation lag.
 
-Two storage backends share one semantics.  Small overlays keep a dict of
-:class:`LinkEstimate` objects (cheap, and the historical layout the
-replay gates were recorded against).  At :data:`ARRAY_BACKEND_MIN_HOSTS`
-hosts and up the mesh switches to three dense ``(n, n)`` numpy arrays —
-an n-host mesh has n·(n-1) ordered pairs, and eagerly allocating a
-million Python objects for a 1000-host overlay on a scale-preset
-topology would dwarf the topology itself.  The EWMA arithmetic is done
-in Python floats either way, so the two backends are bit-identical; the
-differential test is ``tests/overlay/test_state_backends.py``.
+The store is one dict holding only the pairs that were probed.  An
+n-host mesh has n·(n-1) ordered pairs, and most are never probed on a
+large overlay, so nothing is allocated up front; a member pair with no
+entry reads as one shared, fresh :class:`LinkEstimate`.  A read that
+hits is a single ``dict.get``, which matters because route selection
+reads estimates on every request.
 """
 
 from __future__ import annotations
@@ -22,13 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 Pair = tuple[str, str]
-
-#: Host count at which OverlayState switches from the dict backend to
-#: dense numpy arrays.  Below this the dict is smaller and faster.
-ARRAY_BACKEND_MIN_HOSTS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +40,10 @@ class LinkEstimate:
     def usable(self) -> bool:
         """Whether the link has at least one successful RTT sample."""
         return not math.isnan(self.rtt_ms)
+
+
+#: The estimate of every member pair that has not been probed yet.
+_UNPROBED = LinkEstimate()
 
 
 class OverlayState:
@@ -80,56 +75,27 @@ class OverlayState:
         self.hosts = list(hosts)
         self.alpha = alpha
         self.clip_factor = clip_factor
-        self._array_backend = len(self.hosts) >= ARRAY_BACKEND_MIN_HOSTS
-        if self._array_backend:
-            self._idx = {h: i for i, h in enumerate(self.hosts)}
-            n = len(self.hosts)
-            self._rtt = np.full((n, n), np.nan, dtype=np.float64)
-            self._loss = np.zeros((n, n), dtype=np.float64)
-            self._samples = np.zeros((n, n), dtype=np.int64)
-            self._links = {}
-        else:
-            self._links: dict[Pair, LinkEstimate] = {
-                (a, b): LinkEstimate()
-                for a in hosts
-                for b in hosts
-                if a != b
-            }
+        self._members = frozenset(self.hosts)
+        self._links: dict[Pair, LinkEstimate] = {}
 
-    def _pair_index(self, pair: Pair) -> tuple[int, int]:
-        """Array coordinates for an ordered pair (KeyError like the dict)."""
+    def _check_member(self, pair: Pair) -> None:
+        """Raise KeyError unless ``pair`` joins two distinct members."""
         a, b = pair
-        i = self._idx.get(a)
-        j = self._idx.get(b)
-        if i is None or j is None or i == j:
+        if a == b or a not in self._members or b not in self._members:
             raise KeyError(pair)
-        return i, j
 
     def record_probe(self, pair: Pair, rtt_ms: float) -> None:
         """Fold one probe result in; ``rtt_ms`` is NaN for a lost probe.
 
-        Both backends run the identical Python-float arithmetic; the
-        arrays are storage only, so results are bit-for-bit equal.
+        Raises:
+            KeyError: if the pair is not in the overlay.
         """
+        est = self._links.get(pair)
+        if est is None:
+            self._check_member(pair)
+            est = _UNPROBED
         lost = math.isnan(rtt_ms)
         a = self.alpha
-        if self._array_backend:
-            i, j = self._pair_index(pair)
-            cur_rtt = float(self._rtt[i, j])
-            self._loss[i, j] = (1 - a) * float(self._loss[i, j]) + a * (
-                1.0 if lost else 0.0
-            )
-            if not lost:
-                if math.isnan(cur_rtt):
-                    self._rtt[i, j] = rtt_ms
-                else:
-                    sample = rtt_ms
-                    if self.clip_factor is not None:
-                        sample = min(sample, self.clip_factor * cur_rtt)
-                    self._rtt[i, j] = (1 - a) * cur_rtt + a * sample
-            self._samples[i, j] += 1
-            return
-        est = self._links[pair]
         rtt = est.rtt_ms
         if not lost:
             if est.usable:
@@ -146,7 +112,7 @@ class OverlayState:
         )
 
     def reset_pair(self, pair: Pair) -> None:
-        """Forget a pair's estimate (fresh :class:`LinkEstimate`).
+        """Forget a pair's estimate (it reads as never probed again).
 
         Used when the underlying path changes identity — e.g. a detour
         leg heals after an outage — so estimates taken on the old path
@@ -155,15 +121,8 @@ class OverlayState:
         Raises:
             KeyError: if the pair is not in the overlay.
         """
-        if self._array_backend:
-            i, j = self._pair_index(pair)
-            self._rtt[i, j] = np.nan
-            self._loss[i, j] = 0.0
-            self._samples[i, j] = 0
-            return
-        if pair not in self._links:
-            raise KeyError(pair)
-        self._links[pair] = LinkEstimate()
+        self._check_member(pair)
+        self._links.pop(pair, None)
 
     def estimate(self, pair: Pair) -> LinkEstimate:
         """Current estimate for an ordered pair.
@@ -171,21 +130,12 @@ class OverlayState:
         Raises:
             KeyError: if the pair is not in the overlay.
         """
-        if self._array_backend:
-            i, j = self._pair_index(pair)
-            return LinkEstimate(
-                rtt_ms=float(self._rtt[i, j]),
-                loss=float(self._loss[i, j]),
-                samples=int(self._samples[i, j]),
-            )
-        return self._links[pair]
+        est = self._links.get(pair)
+        if est is None:
+            self._check_member(pair)
+            return _UNPROBED
+        return est
 
     def usable_pairs(self) -> list[Pair]:
         """Ordered pairs with at least one successful RTT sample."""
-        if self._array_backend:
-            ii, jj = np.nonzero(~np.isnan(self._rtt))
-            return sorted(
-                (self.hosts[int(i)], self.hosts[int(j)])
-                for i, j in zip(ii, jj)
-            )
         return sorted(p for p, e in self._links.items() if e.usable)

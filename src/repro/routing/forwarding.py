@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.routing.bgp import BGPTable
 from repro.routing.igp import IGPSuite
@@ -184,6 +185,27 @@ class PathResolver:
             forward=self.resolve(src, dst),
             reverse=self.resolve(dst, src),
         )
+
+    def round_trips(
+        self, pairs: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], RoundTripPath]:
+        """Round trips for many ordered host pairs, in ``pairs`` order.
+
+        The pairs' endpoint ASes are converged first in one
+        :meth:`BGPTable.converge_all` batch, so each resolution reads warm
+        routing state.  Pairs with no policy-compliant route are left out.
+        """
+        pairs = list(pairs)
+        self._bgp.converge_all(
+            sorted({self._topo.host(h).asn for pair in pairs for h in pair})
+        )
+        out: dict[tuple[str, str], RoundTripPath] = {}
+        for a, b in pairs:
+            try:
+                out[(a, b)] = self.resolve_round_trip(a, b)
+            except ForwardingError:
+                continue
+        return out
 
     def resolve_round_trip_secondary(self, src: str, dst: str) -> RoundTripPath:
         """Round trip over the secondary forward path (reverse unchanged:

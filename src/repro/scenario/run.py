@@ -26,16 +26,11 @@ from repro.netsim.clock import SECONDS_PER_DAY
 from repro.netsim.conditions import BUCKET_SECONDS, NetworkConditions
 from repro.obs import runtime as obs
 from repro.routing.dynamics import RouteFlapModel
-from repro.routing.forwarding import ForwardingError, PathResolver
+from repro.routing.forwarding import PathResolver
 from repro.scenario.availability import AvailabilityReport, analyze_availability
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.timeline import ScenarioTimeline
-from repro.topology.generator import (
-    TopologyConfig,
-    build_topology,
-    generate_topology,
-    place_hosts,
-)
+from repro.topology.generator import build_topology, place_hosts
 
 
 class StormFlapModel:
@@ -181,8 +176,8 @@ class ScenarioRun:
             seed: Master seed; every stream below derives from it.
             n_hosts: Measurement host pool size.
             scale: Topology scale preset name (see
-                :data:`repro.topology.scale.SCALE_PRESETS`); None keeps
-                the default 1999-era paper topology.
+                :data:`repro.topology.scale.SCALE_PRESETS`); None means
+                ``"paper-1999"``, the default 1999-era paper topology.
             mean_interval_s: Poisson mean between measurement episodes
                 (each episode requests every ordered pair, UW4-A style,
                 so the availability graph gets full pair coverage).
@@ -194,17 +189,13 @@ class ScenarioRun:
             raise ValueError("trailing_buckets must be >= 1")
         self.plan = plan
         self.seed = seed
-        if scale is None:
-            topo_cfg = TopologyConfig.for_era("1999", seed=seed)
-            self.topo = generate_topology(topo_cfg)
-            capacity_scale = topo_cfg.capacity_scale
-        else:
-            self.topo, capacity_scale = build_topology(scale, seed=seed)
+        scale = scale or "paper-1999"
+        self.topo, capacity_scale = build_topology(scale, seed=seed)
         hosts = place_hosts(
             self.topo,
             n_hosts,
             seed=seed + 7,
-            north_america_only=scale is None or scale.startswith("paper-"),
+            north_america_only=scale.startswith("paper-"),
             rate_limit_fraction=0.0,
             name_prefix="whatif",
             capacity_scale=capacity_scale,
@@ -227,25 +218,18 @@ class ScenarioRun:
 
     def _baseline_paths(self) -> dict[tuple[str, str], PathInfo]:
         """Default-route facts on the pristine topology (pre-scenario)."""
-        resolver = PathResolver(self.topo)
         pairs = [(a, b) for a in self.hosts for b in self.hosts if a != b]
-        resolver.bgp.converge_all(
-            sorted({self.topo.host(name).asn for name in self.hosts})
-        )
-        out: dict[tuple[str, str], PathInfo] = {}
-        for a, b in pairs:
-            try:
-                rt = resolver.resolve_round_trip(a, b)
-            except ForwardingError:
-                continue  # pristine disconnection: excluded from baselines
-            out[(a, b)] = PathInfo(
+        # Pristine disconnections are left out of the baselines.
+        return {
+            (a, b): PathInfo(
                 src=a,
                 dst=b,
                 as_path=rt.forward.as_path,
                 hop_count=rt.forward.hop_count,
                 prop_delay_ms=rt.rtt_prop_ms,
             )
-        return out
+            for (a, b), rt in PathResolver(self.topo).round_trips(pairs).items()
+        }
 
     def execute(self) -> tuple[Dataset, ScenarioReport]:
         """Run the scenario; returns the dataset and the report.

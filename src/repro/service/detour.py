@@ -57,17 +57,12 @@ from repro.measurement.tcp import TCPTransferSimulator
 from repro.netsim.conditions import BUCKET_SECONDS, NetworkConditions, PathSampler
 from repro.obs import clock
 from repro.obs import runtime as obs
-from repro.routing.forwarding import ForwardingError, PathResolver, RoundTripPath
+from repro.routing.forwarding import PathResolver, RoundTripPath
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.timeline import ScenarioTimeline
 from repro.service.store import CandidatePath, Pair, PathStore
 from repro.service.strategy import PathSelectionAlgorithm, create_strategy
-from repro.topology.generator import (
-    TopologyConfig,
-    build_topology,
-    generate_topology,
-    place_hosts,
-)
+from repro.topology.generator import build_topology, place_hosts
 from repro.topology.network import Topology
 
 #: Spacing between consecutive leg probes inside one probe round, in
@@ -201,8 +196,8 @@ class DetourService:
             seed: Master seed; every stream below derives from it.
             n_hosts: Measurement host pool size.
             scale: Topology scale preset name (see
-                :data:`repro.topology.scale.SCALE_PRESETS`); None keeps
-                the default 1999-era paper topology.
+                :data:`repro.topology.scale.SCALE_PRESETS`); None means
+                ``"paper-1999"``, the default 1999-era paper topology.
             n_pairs: Number of (src, dst) client pairs to serve.
             duration_s: Minimum simulated horizon; extended to cover the
                 scenario's last transition plus one trailing bucket.
@@ -233,17 +228,13 @@ class DetourService:
             )
         self.plan = plan if plan is not None else ScenarioPlan.parse("")
         self.seed = seed
-        if scale is None:
-            topo_cfg = TopologyConfig.for_era("1999", seed=seed)
-            self.topo = generate_topology(topo_cfg)
-            capacity_scale = topo_cfg.capacity_scale
-        else:
-            self.topo, capacity_scale = build_topology(scale, seed=seed)
+        scale = scale or "paper-1999"
+        self.topo, capacity_scale = build_topology(scale, seed=seed)
         placed = place_hosts(
             self.topo,
             n_hosts,
             seed=seed + 7,
-            north_america_only=scale is None or scale.startswith("paper-"),
+            north_america_only=scale.startswith("paper-"),
             rate_limit_fraction=0.0,
             name_prefix="serve",
             capacity_scale=capacity_scale,
@@ -265,21 +256,13 @@ class DetourService:
     # -- construction helpers ------------------------------------------------
 
     def _baseline_paths(self) -> dict[Pair, RoundTripPath]:
-        """Default round trips on the pristine topology, all ordered pairs."""
-        resolver = PathResolver(self.topo)
-        resolver.bgp.converge_all(
-            sorted({self.topo.host(name).asn for name in self.hosts})
-        )
-        out: dict[Pair, RoundTripPath] = {}
-        for a in self.hosts:
-            for b in self.hosts:
-                if a == b:
-                    continue
-                try:
-                    out[(a, b)] = resolver.resolve_round_trip(a, b)
-                except ForwardingError:
-                    continue  # pristine disconnection: not a candidate leg
-        return out
+        """Default round trips on the pristine topology, all ordered pairs.
+
+        Pairs with no route on the pristine topology are left out; they
+        cannot be candidate legs.
+        """
+        pairs = [(a, b) for a in self.hosts for b in self.hosts if a != b]
+        return PathResolver(self.topo).round_trips(pairs)
 
     def _choose_pairs(self, n_pairs: int) -> tuple[Pair, ...]:
         """A deterministic sample of resolvable ordered pairs to serve."""
@@ -398,16 +381,7 @@ class DetourService:
         with obs.span("service.segment") as sp:
             sp.set("t", t)
             self.timeline.advance_to(t)
-            resolver = PathResolver(self.topo)
-            resolver.bgp.converge_all(
-                sorted({self.topo.host(name).asn for name in self.hosts})
-            )
-            resolved: dict[Pair, RoundTripPath] = {}
-            for leg in legs:
-                try:
-                    resolved[leg] = resolver.resolve_round_trip(*leg)
-                except ForwardingError:
-                    continue
+            resolved = PathResolver(self.topo).round_trips(legs)
             sp.set("legs_up", len(resolved))
         healed = (
             ()

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.obs import runtime as obs
 
@@ -253,6 +252,9 @@ def _nearest_city_of(
 
 
 def _generate(rng: np.random.Generator, cfg: ScaleConfig) -> TopologyArrays:
+    # Imported here so importing repro.topology does not load scipy.spatial.
+    from scipy.spatial import cKDTree
+
     n_cities = max(64, int(cfg.n_as * cfg.cities_per_as))
     city_names, city_lat, city_lon, city_regions, city_weight = _sample_cities(rng, n_cities)
     city_xyz = _latlon_to_xyz(city_lat, city_lon)

@@ -106,9 +106,12 @@ def episode_dataset(topo1999, conditions, resolver) -> Dataset:
 @pytest.fixture(scope="session")
 def suite():
     """All eight paper datasets at 12% scale (shared across test modules)."""
-    from repro.datasets import BuildConfig, build_all
+    from repro.datasets import BuildConfig
+    from repro.experiments.runner import provision_datasets
 
-    return build_all(BuildConfig(seed=2024, scale=0.12))
+    return provision_datasets(
+        BuildConfig(seed=2024, scale=0.12), use_cache=False, jobs=1
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Differential tests: batched measurement pipeline vs the scalar path.
 
 The vectorized probe/transfer generation must be *byte-identical* to the
-retained scalar reference implementations (same pattern as
+scalar reference implementations in ``oracles.py`` (same pattern as
 tests/routing/test_bgp_equivalence.py): every probe consumes a fixed
 block of uniform draws whether batched or scalar, so both paths walk the
 identical generator stream and the float arithmetic is applied in the
@@ -21,6 +21,7 @@ from repro.measurement.schedulers import poisson_pairs
 from repro.netsim import DRAWS_PER_PROBE, PathSampler, SECONDS_PER_DAY
 from repro.netsim.dynamics import DynamicPathSampler
 from repro.routing.dynamics import RouteFlapModel
+from tests.measurement import oracles
 
 SEEDS = [0, 1, 2]
 
@@ -64,7 +65,7 @@ def test_traceroutes_batched_equals_scalar(
         poisson_pairs(hosts, SECONDS_PER_DAY / 4, 40.0, seed=seed + 100)
     )
     fast_records, fast_stats = fast.run_traceroutes(requests)
-    ref_records, ref_stats = oracle.run_traceroutes_scalar(requests)
+    ref_records, ref_stats = oracles.run_traceroutes_scalar(oracle, requests)
     _assert_stats_equal(fast_stats, ref_stats)
     assert len(fast_records) == len(ref_records)
     for a, b in zip(fast_records, ref_records):
@@ -86,7 +87,7 @@ def test_transfers_batched_equals_scalar(
         poisson_pairs(hosts, SECONDS_PER_DAY / 4, 60.0, seed=seed + 200)
     )
     fast_records, fast_stats = fast.run_transfers(requests)
-    ref_records, ref_stats = oracle.run_transfers_scalar(requests)
+    ref_records, ref_stats = oracles.run_transfers_scalar(oracle, requests)
     _assert_stats_equal(fast_stats, ref_stats)
     assert fast_records == ref_records  # exact float equality, field for field
 
@@ -120,7 +121,10 @@ def test_probe_block_equals_probe_pair_loop(static_sampler, seed):
     rng_ref = np.random.default_rng(seed)
     batch = view.probe_block(rng_fast)
     reference = np.array(
-        [view.probe_pair(i, rng_ref) for i in range(len(static_sampler))]
+        [
+            oracles.probe_pair(view, i, rng_ref)
+            for i in range(len(static_sampler))
+        ]
     )
     np.testing.assert_array_equal(batch.rtt_ms, reference)
     np.testing.assert_array_equal(batch.lost, np.isnan(reference))
@@ -138,7 +142,7 @@ def test_probe_batch_equals_scalar_loop(sampler_name, seed, request):
     fast = sampler.probe_batch(ts, rng_fast, indices=idx)
     reference = np.array(
         [
-            sampler.bucket_view(float(t)).probe_pair(int(i), rng_ref)
+            oracles.probe_pair(sampler.bucket_view(float(t)), int(i), rng_ref)
             for t, i in zip(ts, idx)
         ]
     )
@@ -173,7 +177,8 @@ def test_ping_equals_scalar_loop(topo1999, conditions, resolver, seed):
     rng_ref = np.random.default_rng(seed)
     times = SECONDS_PER_DAY + np.arange(count) * interval_s
     reference = [
-        sampler.bucket_view(float(t)).probe_pair(0, rng_ref) for t in times
+        oracles.probe_pair(sampler.bucket_view(float(t)), 0, rng_ref)
+        for t in times
     ]
     answered = [r for r in reference if not math.isnan(r)]
     assert result.received == len(answered)

@@ -14,6 +14,7 @@ from repro.measurement.tcp import (
     mathis_bandwidth_kbps_array,
 )
 from repro.netsim import PathSampler
+from tests.measurement.oracles import measure
 
 
 def test_mathis_known_value():
@@ -70,7 +71,7 @@ def test_transfer_results_consistent(topo1999, conditions, paths, rng):
     sampler = PathSampler(conditions, paths)
     view = sampler.view(86400.0)
     for index in range(len(paths)):
-        result = sim.measure(view, index, rng)
+        result = measure(sim, view, index, rng)
         assert result.rtt_ms > 0
         assert 0.0 < result.loss_rate < 1.0
         assert result.bandwidth_kbps > 0
@@ -89,6 +90,6 @@ def test_transfer_bandwidth_below_steady_state_mathis(
     sampler = PathSampler(conditions, paths)
     view = sampler.view(86400.0)
     for index in range(len(paths)):
-        result = sim.measure(view, index, rng)
+        result = measure(sim, view, index, rng)
         ceiling = mathis_bandwidth_kbps(result.rtt_ms, result.loss_rate)
         assert result.bandwidth_kbps <= ceiling * 1.1

@@ -13,6 +13,7 @@ from repro.netsim import (
     SECONDS_PER_HOUR,
 )
 from repro.netsim.conditions import MAX_UTILIZATION, MIN_UTILIZATION
+from tests.measurement.oracles import probe_pair
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +140,7 @@ def test_view_matches_arrays(sampler):
 
 def test_view_probe_pair_rtt_bounds(sampler, rng):
     view = sampler.view(SECONDS_PER_DAY)
-    rtts = [view.probe_pair(0, rng) for _ in range(200)]
+    rtts = [probe_pair(view, 0, rng) for _ in range(200)]
     finite = [r for r in rtts if not np.isnan(r)]
     assert finite
     assert min(finite) >= view.prop[0]

@@ -5,9 +5,11 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.datasets.io import save_dataset
+from repro.measurement.collector import Campaign
 from repro.netsim.conditions import BUCKET_SECONDS, NetworkConditions
 from repro.netsim.dynamics import DynamicPathSampler
 from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
+from repro.routing.forwarding import ForwardingError, PathResolver
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.run import ScenarioRun, StormFlapModel
 from repro.topology import TopologyConfig, generate_topology
@@ -105,6 +107,30 @@ def test_node_down_disconnects_pairs_and_records_nan_rows():
     assert "permanently disconnected pairs" in text
     assert "AS-disjoint" in text
     assert report.availability.headline
+
+
+def test_node_down_round_trips_omit_unreachable_pairs():
+    base = ScenarioRun(ScenarioPlan(), seed=1999, n_hosts=6)
+    downed_asn = base.topo.host(base.hosts[0]).asn
+    run = ScenarioRun(
+        ScenarioPlan.parse(f"node-down:{downed_asn}:at=300"),
+        seed=1999,
+        n_hosts=6,
+    )
+    run.timeline.advance_to(300.0)
+    pairs = [(a, b) for a in run.hosts for b in run.hosts if a != b]
+    got = PathResolver(run.topo).round_trips(pairs)
+    downed = {
+        p for p in pairs
+        if downed_asn in (run.topo.host(p[0]).asn, run.topo.host(p[1]).asn)
+    }
+    assert downed and set(got) == set(pairs) - downed
+    assert list(got) == [p for p in pairs if p in got]
+    reference = PathResolver(run.topo)
+    for pair, rt in got.items():
+        assert rt == reference.resolve_round_trip(*pair)
+    with pytest.raises(ForwardingError):
+        Campaign(run.topo, run.conditions, run.hosts)
 
 
 def test_whatif_cli_exit_codes(tmp_path, capsys):

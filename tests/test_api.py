@@ -1,4 +1,4 @@
-"""The ReproSession facade and the deprecation surface behind it."""
+"""The ReproSession facade and the build entry points it replaced."""
 
 import pytest
 
@@ -74,28 +74,21 @@ def test_repr_mentions_configuration(session):
     assert "seed=31" in text and "trace=True" in text
 
 
-def test_deprecated_get_datasets_warns(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    from repro.experiments.runner import get_dataset, get_datasets
-
-    cfg = BuildConfig(seed=31, scale=0.02)
-    with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-        datasets = get_datasets(cfg, jobs=1)
-    assert len(datasets) == 8
-    with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-        uw3 = get_dataset("UW3", cfg, jobs=1)
-    assert uw3.meta.name == "UW3"
-
-
-def test_deprecated_names_not_reexported():
+def test_removed_build_entry_points_are_gone():
     import repro
+    import repro.datasets as datasets
     import repro.experiments as experiments
+    import repro.experiments.runner as runner
 
-    with pytest.raises(AttributeError, match="ReproSession"):
-        repro.build_all
-    assert "get_datasets" not in experiments.__all__
-    assert "get_dataset" not in experiments.__all__
-    assert not hasattr(experiments, "get_datasets")
-    assert not hasattr(experiments, "get_dataset")
+    for module, name in (
+        (repro, "build_all"),
+        (datasets, "build_all"),
+        (experiments, "get_datasets"),
+        (experiments, "get_dataset"),
+        (runner, "get_datasets"),
+        (runner, "get_dataset"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
+        assert name not in getattr(module, "__all__", ())
     with pytest.raises(AttributeError):
         repro.no_such_symbol

@@ -86,13 +86,15 @@ def test_public_functions_have_annotations():
 
 
 def test_entry_points_import_neither_scipy_stats_nor_networkx():
-    """Both are heavy and only needed on first use; a fresh import of the
-    package's entry points must not load them."""
+    """scipy.stats, scipy.spatial and networkx are heavy and only needed on
+    first use; a fresh import of the package's entry points must not load
+    them."""
     code = (
         "import sys\n"
         "import repro, repro.cli, repro.service, repro.scenario\n"
         "import repro.experiments.reproduce\n"
-        "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.spatial', 'networkx')"
+        " if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     out = subprocess.run(
