@@ -4,103 +4,93 @@
 The paper's alternate-path analysis is an oracle: it looks at long-term
 averages in retrospect.  The natural system it motivated — built by the
 same authors as *Detour*, and later by MIT as *RON* — probes continuously
-and relays flows through overlay peers when an alternate looks better.
+and relays traffic through overlay peers when an alternate looks better.
 
-This example runs that system over the simulated Internet and reports,
-over a day of traffic:
+This example runs that system, :class:`repro.service.DetourService`, over
+a calm simulated Internet for one day and reports:
 
-* mean latency: direct vs overlay vs oracle;
-* how often the overlay deflects, and how often deflections win;
+* mean latency: direct vs the service's choice vs the oracle;
+* how often the service deflects, and how often deflections win;
 * the share of the oracle's gain the online system captures;
-* sensitivity to the probing interval (staleness) and hysteresis.
+* sensitivity to the probing interval (estimate staleness);
+* the four path-selection strategies side by side.
+
+Every other host is a candidate relay, so the oracle is the best of the
+direct path and every single-relay route.
 
 Run:
-    python examples/detour_overlay.py [--hosts 14] [--flows 600]
+    python examples/detour_overlay.py [--hosts 14] [--pairs 12]
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 
-from repro.netsim import NetworkConditions, SECONDS_PER_DAY
-from repro.overlay import OverlayNetwork
-from repro.topology import TopologyConfig, generate_topology, place_hosts
+from repro.netsim import SECONDS_PER_DAY
+from repro.service import DetourService, evaluate_strategies, score_result
 
 
-def evaluate(topo, conditions, hosts, *, probe_interval_s, hysteresis, flows, seed):
-    overlay = OverlayNetwork(
-        topo,
-        conditions,
-        hosts,
-        probe_interval_s=probe_interval_s,
-        hysteresis=hysteresis,
-        seed=seed,
-    )
-    return overlay.evaluate(
-        t0=1.0 * SECONDS_PER_DAY,
+def serve(args, probe_interval_s: float) -> DetourService:
+    return DetourService(
+        None,
+        seed=args.seed,
+        n_hosts=args.hosts,
+        n_pairs=args.pairs,
         duration_s=SECONDS_PER_DAY,
-        n_flows=flows,
+        probe_interval_s=probe_interval_s,
+        relays_per_pair=args.hosts - 2,
     )
+
+
+def win_rate(result) -> float:
+    """Fraction of deflected requests that actually beat the direct path."""
+    relayed = [
+        r
+        for r in result.records
+        if r.relay is not None and not r.failed and math.isfinite(r.direct_rtt_ms)
+    ]
+    if not relayed:
+        return 0.0
+    return sum(r.rtt_ms < r.direct_rtt_ms for r in relayed) / len(relayed)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--hosts", type=int, default=14, help="overlay size")
-    parser.add_argument("--flows", type=int, default=600, help="evaluation flows")
+    parser.add_argument("--pairs", type=int, default=12, help="client pairs served")
     parser.add_argument("--seed", type=int, default=3, help="simulation seed")
     args = parser.parse_args()
 
-    topo = generate_topology(TopologyConfig.for_era("1999", seed=args.seed))
-    place_hosts(
-        topo, args.hosts, seed=args.seed + 1,
-        north_america_only=True, rate_limit_fraction=0.0,
-    )
-    conditions = NetworkConditions(topo, seed=args.seed + 2)
-    hosts = topo.host_names()
+    print(f"Overlay of {args.hosts} hosts; {args.pairs} client pairs over one day.\n")
+    service = serve(args, probe_interval_s=300.0)
+    base = service.run("lowest-latency")
+    score = score_result(base)
+    print("Baseline service (lowest-latency, probe every 300 s):")
+    print(f"  mean RTT  direct : {score.mean_direct_rtt_ms:7.1f} ms")
+    print(f"  mean RTT  chosen : {score.mean_rtt_ms:7.1f} ms")
+    print(f"  mean RTT  oracle : {score.mean_oracle_rtt_ms:7.1f} ms")
+    print(f"  deflection rate  : {score.deflection_rate:7.1%}")
+    print(f"  deflection wins  : {win_rate(base):7.1%}")
+    print(f"  oracle-gain capture: {score.gain_capture:5.1%}")
 
-    print(f"Overlay of {len(hosts)} hosts; {args.flows} flows over one day.\n")
-    base = evaluate(
-        topo, conditions, hosts,
-        probe_interval_s=120.0, hysteresis=0.1, flows=args.flows, seed=args.seed,
-    )
-    print("Baseline overlay (probe every 120 s, 10% hysteresis):")
-    print(f"  mean RTT  direct : {base.mean_direct_rtt():7.1f} ms")
-    print(f"  mean RTT  overlay: {base.mean_overlay_rtt():7.1f} ms")
-    print(f"  mean RTT  oracle : {base.mean_oracle_rtt():7.1f} ms")
-    print(f"  deflection rate  : {base.deflection_rate():7.1%}")
-    print(f"  deflection wins  : {base.win_rate():7.1%}")
-    print(f"  oracle-gain capture: {base.gain_capture():5.1%}")
-
-    print("\nSensitivity to probing staleness (hysteresis 10%):")
-    print(f"  {'probe interval':>16} {'overlay RTT':>12} {'capture':>9}")
-    for interval in (30.0, 120.0, 600.0, 1800.0):
-        ev = evaluate(
-            topo, conditions, hosts,
-            probe_interval_s=interval, hysteresis=0.1,
-            flows=args.flows, seed=args.seed,
-        )
+    print("\nSensitivity to probing staleness (lowest-latency):")
+    print(f"  {'probe interval':>16} {'chosen RTT':>12} {'capture':>9}")
+    for interval in (300.0, 900.0, 1800.0, 3600.0):
+        run = service if interval == 300.0 else serve(args, interval)
+        s = score_result(run.run("lowest-latency"))
         print(
-            f"  {interval:>14.0f}s {ev.mean_overlay_rtt():>10.1f}ms "
-            f"{ev.gain_capture():>8.1%}"
+            f"  {interval:>14.0f}s {s.mean_rtt_ms:>10.1f}ms "
+            f"{s.gain_capture:>8.1%}"
         )
 
-    print("\nSensitivity to hysteresis (probe every 120 s):")
-    print(f"  {'hysteresis':>12} {'deflect':>9} {'wins':>7} {'capture':>9}")
-    for hysteresis in (0.0, 0.1, 0.3, 0.5):
-        ev = evaluate(
-            topo, conditions, hosts,
-            probe_interval_s=120.0, hysteresis=hysteresis,
-            flows=args.flows, seed=args.seed,
-        )
-        print(
-            f"  {hysteresis:>12.1f} {ev.deflection_rate():>8.1%} "
-            f"{ev.win_rate():>6.1%} {ev.gain_capture():>8.1%}"
-        )
+    print("\nFour strategies on the same environment:")
+    print(evaluate_strategies(service).render())
 
     print(
-        "\nReading: fresher probes and moderate hysteresis capture most of "
-        "the oracle gain;\nvery stale probes deflect on noise and give the "
-        "gain back — the engineering\ntrade-off Detour and RON had to solve."
+        "\nReading: fresh probes let lowest-latency capture most of the "
+        "oracle gain;\nstale probes give much of it back — the engineering "
+        "trade-off Detour\nand RON had to solve."
     )
 
 

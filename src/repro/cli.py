@@ -439,6 +439,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         forwarded += ["--svg-dir", args.svg_dir]
     if args.only:
         forwarded += ["--only", args.only]
+    if args.scorecard:
+        forwarded += ["--scorecard"]
     if args.fault_plan is not None:
         forwarded += ["--fault-plan", args.fault_plan]
     if args.build_timeout is not None:
@@ -790,6 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--svg-dir", default=None)
     p.add_argument("--only", default=None)
+    p.add_argument(
+        "--scorecard",
+        action="store_true",
+        help="grade the run against the paper's qualitative bands",
+    )
     _add_trace_arg(p)
     _add_output_arg(p, "write the markdown report here (same as --markdown)")
     _add_robustness_args(p)

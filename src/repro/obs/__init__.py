@@ -2,8 +2,8 @@
 
 The observability layer has two halves threaded through the pipeline's
 hot path (topology generation, IGP/BGP convergence, dataset builds and
-the fault supervisor, alternate-path search, overlay evaluation, and
-``reproduce``):
+the fault supervisor, alternate-path search, the online Detour service,
+and ``reproduce``):
 
 * **spans** — hierarchical timed operations
   (:mod:`repro.obs.tracer`), started with ``obs.span("name")``;

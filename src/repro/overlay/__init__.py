@@ -1,26 +1,24 @@
-"""Detour-style overlay routing: the system the paper's findings motivated.
+"""Overlay estimate store and relay router, beneath the Detour service.
 
-The paper's analysis is an *oracle*: it asks whether better alternates
-existed in retrospect.  This subpackage implements the online system that
-question implies — an overlay whose nodes probe each other, maintain EWMA
-path-quality estimates, and relay flows through peers when the estimated
-alternate clears a hysteresis bar — and evaluates how much of the oracle
-gain such a system actually captures under estimation lag.
+The online Detour system the paper's findings motivated lives in
+:mod:`repro.service`: :class:`~repro.service.DetourService` probes,
+chooses and scores every request against the oracle alternate.  This
+package holds two pieces below it:
+
+* :class:`OverlayState` — the per-leg EWMA store that
+  :class:`~repro.service.store.PathStore` reads its estimates from;
+* :class:`OverlayRouter` — a hysteresis relay router over that store.
+  No pipeline calls it; it stays only until the perfbench layer table
+  stops wrapping :meth:`OverlayRouter.select`.
+
+Both import only the standard library and each other.
 """
 
-from repro.overlay.network import (
-    FlowOutcome,
-    OverlayEvaluation,
-    OverlayNetwork,
-)
 from repro.overlay.router import OverlayRoute, OverlayRouter
 from repro.overlay.state import LinkEstimate, OverlayState
 
 __all__ = [
-    "FlowOutcome",
     "LinkEstimate",
-    "OverlayEvaluation",
-    "OverlayNetwork",
     "OverlayRoute",
     "OverlayRouter",
     "OverlayState",

@@ -83,23 +83,14 @@ def test_trace_covers_all_instrumented_subsystems(
     """One composed run touches >= 6 namespaces (acceptance criterion)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     from repro.core import Metric, analyze
-    from repro.netsim import NetworkConditions, SECONDS_PER_DAY
-    from repro.overlay import OverlayNetwork
-    from repro.topology import TopologyConfig, generate_topology, place_hosts
+    from repro.service import DetourService
 
     with obs.capture() as cap:
         datasets = provision_datasets(tiny_cfg, jobs=1)
         analyze(datasets["UW3"], Metric.RTT, min_samples=2)
-        topo = generate_topology(TopologyConfig.for_era("1999", seed=3))
-        place_hosts(topo, 6, seed=4, north_america_only=True)
-        overlay = OverlayNetwork(
-            topo, NetworkConditions(topo, seed=5), topo.host_names(), seed=6
-        )
-        overlay.evaluate(
-            t0=1.0 * SECONDS_PER_DAY,
-            duration_s=SECONDS_PER_DAY / 24,
-            n_flows=10,
-        )
+        DetourService(
+            seed=3, n_hosts=6, n_pairs=2, duration_s=900.0
+        ).run("lowest-latency")
         from repro.experiments.tables import table1
 
         with obs.span("experiments.artifact") as sp:
@@ -109,7 +100,7 @@ def test_trace_covers_all_instrumented_subsystems(
     trace = RunTrace.from_capture(cap, META)
     covered = set(trace.subsystems())
     assert {
-        "topology", "routing", "datasets", "core", "overlay", "experiments"
+        "topology", "routing", "datasets", "core", "service", "experiments"
     } <= covered
     counters = trace.metrics.get("counters", {})
     assert counters.get("datasets.builds", 0) > 0

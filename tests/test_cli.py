@@ -73,10 +73,13 @@ def test_analyze_too_strict_min_samples(tmp_path, capsys):
 def test_reproduce_subcommand(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     rc = main(
-        ["reproduce", "--scale", "0.02", "--seed", "55", "--only", "table1"]
+        ["reproduce", "--scale", "0.02", "--seed", "55", "--only", "table1",
+         "--scorecard"]
     )
     assert rc == 0
-    assert "table1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "table1" in out
+    assert "Scorecard (paper-shape checks)" in out
 
 
 def test_suite_subcommand(tmp_path, monkeypatch, capsys):
