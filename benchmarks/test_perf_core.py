@@ -138,6 +138,42 @@ def test_perf_greedy_host_removal(benchmark, complete_graph):
 
 
 @pytest.fixture(scope="module")
+def episode_dataset():
+    """200 UW4-A-shaped episodes: 15 hosts, every ordered pair measured
+    once per episode by a three-probe traceroute, about 5 % of probes
+    lost."""
+    from repro.datasets import Dataset, DatasetMeta
+    from repro.measurement.records import TracerouteRecord
+
+    rng = np.random.default_rng(11)
+    hosts = [f"ep{i:02d}" for i in range(15)]
+    base = rng.uniform(20.0, 200.0, size=(15, 15))
+    records = []
+    for ep in range(200):
+        for i, j in itertools.permutations(range(15), 2):
+            rtts = base[i, j] + rng.exponential(5.0, size=3)
+            rtts[rng.random(3) < 0.05] = np.nan
+            records.append(
+                TracerouteRecord(
+                    600.0 * ep, hosts[i], hosts[j], tuple(rtts.tolist()), ep
+                )
+            )
+    meta = DatasetMeta(
+        name="perf-episodes", method="traceroute", year=1999,
+        duration_days=1, location="North America",
+    )
+    return Dataset(meta=meta, hosts=hosts, traceroutes=records)
+
+
+def test_perf_episode_analysis(benchmark, episode_dataset):
+    """Figure 11's within-episode search over 200 episode graphs."""
+    from repro.core import analyze_episodes
+
+    analysis = benchmark(analyze_episodes, episode_dataset)
+    assert analysis.episodes_analyzed == 200
+
+
+@pytest.fixture(scope="module")
 def scenario_env():
     """A topology of its own (the timeline mutates AS structure)."""
     from repro.scenario import ScenarioPlan

@@ -9,17 +9,21 @@ Loss rates compose multiplicatively (``1 - ∏(1 - p_i)``); taking
 ``-log(1 - p)`` as the additive edge weight makes shortest-path search
 valid for loss, after which the composed loss is recomputed exactly.
 
-The batch search runs one Dijkstra per source on the full graph; the
-direct edge can only appear as the *entire* shortest path (a simple path
-from A to B cannot use edge (A,B) mid-path), so the exclusion only forces
-a re-run for destinations whose shortest path IS the direct edge.  All of
-one source's re-runs share a single Dijkstra call over a block-diagonal
-stack of edge-excluded copies of the graph.
+One search (:func:`_alternates`) answers a whole batch of pairs, over one
+graph or over a stack of same-sized graphs, with a constant number of
+scipy calls.  The base pass is one multi-source Dijkstra over every
+wanted source, the graphs laid side by side as one block-diagonal
+matrix, so each source's search stays inside its own graph.  The direct
+edge can only appear as the *entire* shortest path (a simple path from A
+to B cannot use edge (A,B) mid-path), so the exclusion only forces a
+re-run for destinations whose shortest path IS the direct edge.  Every
+re-run, of every source and every graph, shares one ``min_only`` Dijkstra
+call over a block-diagonal stack of edge-excluded copies, one copy per
+re-run.  Both calls split into chunks under :data:`_RERUN_STACK_CAP_BYTES`.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -28,6 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from repro.core.graph import GraphError, Metric, MetricGraph, Pair
+from repro.core.stats import left_sum
 from repro.obs import runtime as obs
 
 #: Guard so zero-weight loss edges survive sparse-matrix storage (scipy
@@ -39,10 +44,13 @@ _EPSILON = 1e-12
 #: 64 MiB covers ~200 hosts — far above any Table 1 dataset.
 _ONE_HOP_BROADCAST_CAP_BYTES = 64 * 1024 * 1024
 
-#: Memory ceiling for the CSR arrays of one stacked re-run search; a
-#: source with more direct-edge re-runs is split into chunks.  64 MiB
-#: holds ~3,500 copies of a complete 40-host graph.
-_RERUN_STACK_CAP_BYTES = 64 * 1024 * 1024
+#: Memory ceiling for one stacked Dijkstra call: the CSR arrays of a
+#: re-run stack, or the distance and predecessor rows a base pass over
+#: several graphs returns.  Larger batches are split into chunks.
+#: 256 KiB holds ~100 copies of a complete 15-host graph.  Stacks that
+#: span sources and graphs get large: at 64 MiB, perfbench
+#: paper-reproduce peaked at 124 MB against 100 MB at 256 KiB.
+_RERUN_STACK_CAP_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,24 +106,312 @@ def _composed_value(graph: MetricGraph, hops: tuple[Pair, ...]) -> float:
         for p in values:
             survive *= 1.0 - p
         return 1.0 - survive
-    return float(sum(values))
+    return float(left_sum(values))
 
 
-def _reconstruct(
-    hosts: list[str], predecessors: np.ndarray, src_idx: int, dst_idx: int
-) -> tuple[Pair, ...]:
-    """Walk a scipy predecessor row from dst back to src."""
-    chain = [dst_idx]
-    node = dst_idx
-    while node != src_idx:
-        node = int(predecessors[node])
-        if node < 0:
-            raise GraphError("broken predecessor chain")
-        chain.append(node)
-    chain.reverse()
-    return tuple(
-        (hosts[a], hosts[b]) for a, b in zip(chain, chain[1:])
+def _search_weights(values: np.ndarray, metric: Metric) -> np.ndarray:
+    """Dijkstra weights for edge ``values`` (+inf where no edge is stored)."""
+    transform = _edge_weight_transform(metric)
+    weights = values
+    if transform is not None:
+        finite = np.isfinite(values)
+        weights = np.full(values.shape, np.inf)
+        weights[finite] = [transform(v) for v in values[finite].tolist()]
+    # scipy sparse graphs drop explicit zeros; shift by epsilon instead.
+    return np.where(np.isfinite(weights), weights + _EPSILON, np.inf)
+
+
+def _stack_csr(weights: np.ndarray) -> csr_matrix:
+    """The graphs ``weights[g]`` side by side as one block-diagonal CSR.
+
+    Graph ``g`` holds nodes ``g*n .. g*n + n - 1``; +inf entries are not
+    stored, and every row's columns ascend.
+    """
+    count, n, _ = weights.shape
+    flat = weights.reshape(count * n, n)
+    finite = np.isfinite(flat)
+    rows, cols = np.nonzero(finite)
+    indptr = np.zeros(count * n + 1, dtype=np.int32)
+    np.cumsum(finite.sum(axis=1), out=indptr[1:])
+    indices = (cols + rows // n * n).astype(np.int32)
+    return csr_matrix(
+        (flat[rows, cols], indices, indptr), shape=(count * n, count * n)
     )
+
+
+def _graphs_csr(stack: csr_matrix, n: int, first: int, end: int) -> csr_matrix:
+    """Graphs ``first .. end - 1`` of ``stack`` as a block-diagonal CSR."""
+    if first == 0 and end * n == stack.shape[0]:
+        return stack
+    lo, hi = stack.indptr[first * n], stack.indptr[end * n]
+    return csr_matrix(
+        (
+            stack.data[lo:hi],
+            stack.indices[lo:hi] - first * n,
+            stack.indptr[first * n : end * n + 1] - lo,
+        ),
+        shape=((end - first) * n,) * 2,
+    )
+
+
+def _edge_slots(
+    stack: csr_matrix, n: int, graphs: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Index into ``stack.data`` of stored edge ``(src, dst)`` of each graph."""
+    size = stack.shape[0]
+    keys = np.repeat(np.arange(size), np.diff(stack.indptr)) * size + stack.indices
+    return np.searchsorted(keys, (graphs * n + src) * size + graphs * n + dst)
+
+
+def _excluding_stack(  # hotpath
+    stack: csr_matrix, n: int, graphs: np.ndarray, slots: np.ndarray
+) -> csr_matrix:
+    """Block-diagonal stack of graph copies, one per re-run.
+
+    Block ``k`` holds nodes ``k*n .. k*n + n - 1`` and is graph
+    ``graphs[k]`` of ``stack`` with its stored entry ``slots[k]`` (an
+    index into ``stack.data``, see :func:`_edge_slots`) patched to +inf,
+    which Dijkstra treats as absent.  ``graphs`` must be sorted; each run
+    of blocks on one graph is filled with a single broadcast copy.
+    ``stack`` is not modified.
+    """
+    indptr = stack.indptr
+    lo = indptr[graphs * n].astype(np.int64)
+    sizes = indptr[(graphs + 1) * n] - lo
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    data = np.empty(ends[-1])
+    indices = np.empty(ends[-1], dtype=np.int32)
+    offsets = (np.arange(len(graphs)) * n).astype(np.int32)
+    cuts = (np.flatnonzero(np.diff(graphs)) + 1).tolist()
+    firsts = [0, *cuts]
+    runs = zip(
+        firsts,
+        [*cuts, len(graphs)],
+        (graphs[firsts] * n).tolist(),
+        sizes[firsts].tolist(),
+        starts[firsts].tolist(),
+        lo[firsts].tolist(),
+    )
+    for first, end, node0, nnz, at, begin in runs:
+        span = slice(at, at + (end - first) * nnz)
+        data[span].reshape(end - first, nnz)[:] = stack.data[begin : begin + nnz]
+        np.add(
+            stack.indices[begin : begin + nnz] - np.int32(node0),
+            offsets[first:end, None],
+            out=indices[span].reshape(end - first, nnz),
+        )
+    data[slots - lo + starts] = np.inf
+    rows = (graphs * n)[:, None] + np.arange(n)[None, :]
+    indptr_out = np.append(
+        (indptr[rows] - lo[:, None] + starts[:, None]).ravel(), ends[-1]
+    ).astype(np.int32)
+    nodes = len(graphs) * n
+    return csr_matrix((data, indices, indptr_out), shape=(nodes, nodes))
+
+
+def _walk(  # hotpath
+    pred: np.ndarray,
+    row: np.ndarray,
+    base: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Follow predecessors from each ``dst`` back to its ``src``, all at once.
+
+    ``src`` and ``dst`` number nodes within their own graph, which starts
+    at node ``base[p]`` of the Dijkstra call; node ``v``'s predecessor is
+    ``pred[row[p] + base[p] + v]`` in the call's numbering (``pred`` is
+    scipy's predecessor output, flattened).  Returns ``back``, where
+    ``back[p, t]`` is the node ``t`` hops before ``dst[p]`` in its graph's
+    numbering, and the hop count of every path.
+    """
+    back = np.zeros((len(dst), n), dtype=np.int64)
+    back[:, 0] = dst
+    hops = np.zeros(len(dst), dtype=np.int64)
+    cur = dst.copy()
+    live = np.flatnonzero(cur != src)
+    for step in range(1, n):
+        if not live.size:
+            break
+        nxt = pred[row[live] + base[live] + cur[live]]
+        if (nxt < 0).any():
+            raise GraphError("broken predecessor chain")
+        nxt -= base[live]
+        cur[live] = nxt
+        back[live, step] = nxt
+        hops[live] = step
+        live = live[nxt != src[live]]
+    if live.size:
+        raise GraphError("broken predecessor chain")
+    return back, hops
+
+
+def _compose(  # hotpath
+    values: np.ndarray,
+    loss: bool,
+    graphs: np.ndarray,
+    back: np.ndarray,
+    hops: np.ndarray,
+) -> np.ndarray:
+    """Composed value of each walked path, exactly as :func:`_composed_value`.
+
+    Hops are folded in from the source on, one hop position for all
+    paths at a time: a left-to-right sum, or the survival product for loss.
+    """
+    acc = np.ones(len(hops)) if loss else np.zeros(len(hops))
+    for k in range(int(hops.max(initial=0))):
+        paths = np.flatnonzero(hops > k)
+        head = hops[paths] - k
+        edge = values[graphs[paths], back[paths, head], back[paths, head - 1]]
+        if loss:
+            acc[paths] = acc[paths] * (1.0 - edge)
+        else:
+            acc[paths] = acc[paths] + edge
+    return 1.0 - acc if loss else acc
+
+
+def _base_groups(sources_per_graph: list[int], n: int) -> list[tuple[int, int]]:
+    """Split the graphs into runs whose base-pass output fits the cap.
+
+    A base call over graphs ``[g0, g1)`` returns a float64 distance row
+    and an int32 predecessor row per source, each as long as all those
+    graphs' nodes.  A single graph is never split.
+    """
+    groups: list[tuple[int, int]] = []
+    first, sources = 0, 0
+    for g, count in enumerate(sources_per_graph):
+        grown = (sources + count) * (g + 1 - first) * n * 12
+        if g > first and grown > _RERUN_STACK_CAP_BYTES:
+            groups.append((first, g))
+            first, sources = g, 0
+        sources += count
+    groups.append((first, len(sources_per_graph)))
+    return groups
+
+
+def _rerun_chunks(stack: csr_matrix, n: int, graphs: np.ndarray) -> list[np.ndarray]:
+    """Split re-runs on ``graphs`` into runs whose stack fits the cap."""
+    indptr = stack.indptr
+    nnz = indptr[(graphs + 1) * n] - indptr[graphs * n]
+    sizes = nnz * (stack.data.itemsize + stack.indices.itemsize) + (
+        (n + 1) * indptr.itemsize
+    )
+    chunk_of = (np.cumsum(sizes) - sizes) // _RERUN_STACK_CAP_BYTES
+    return np.split(np.arange(len(graphs)), np.flatnonzero(np.diff(chunk_of)) + 1)
+
+
+def _alternates(
+    stack: csr_matrix,
+    values: np.ndarray,
+    loss: bool,
+    pairs: np.ndarray,
+    *,
+    with_chains: bool = False,
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Best alternates for ``pairs`` rows ``(graph, src, dst)`` over a stack.
+
+    ``stack`` holds the graphs side by side (:func:`_stack_csr`) and
+    ``values`` their edge values, shape ``(G, n, n)``.  Returns each
+    pair's composed alternate value, NaN where no alternate exists, and,
+    with ``with_chains``, each found pair's node chain from src to dst.
+    """
+    n = values.shape[-1]
+    graphs, src, dst = pairs[:, 0], pairs[:, 1], pairs[:, 2]
+    composed = np.full(len(pairs), np.nan)
+    chains: list[list[int]] = [[] for _ in range(len(pairs))] if with_chains else []
+    obs.count("core.altpath.pairs", len(pairs))
+    if not len(pairs):
+        return composed, chains
+
+    def settle(idx: np.ndarray, back: np.ndarray, hops: np.ndarray) -> None:
+        composed[idx] = _compose(values, loss, graphs[idx], back, hops)
+        if with_chains:
+            for p, row, h in zip(idx.tolist(), back.tolist(), hops.tolist()):
+                chains[p] = row[h::-1]
+
+    # Base pass: one Dijkstra row per distinct (graph, source).
+    sources, source_row = np.unique(graphs * n + src, return_inverse=True)
+    per_graph = np.bincount(sources // n, minlength=values.shape[0]).tolist()
+    by_graph = np.argsort(graphs, kind="stable")
+    graph_order = graphs[by_graph]
+    reruns = []
+    first_row = 0
+    for g0, g1 in _base_groups(per_graph, n):
+        rows = sum(per_graph[g0:g1])
+        dist, pred = _dijkstra(
+            _graphs_csr(stack, n, g0, g1),
+            directed=True,
+            indices=sources[first_row : first_row + rows] - g0 * n,
+            return_predecessors=True,
+        )
+        lo, hi = np.searchsorted(graph_order, [g0, g1])
+        idx = by_graph[lo:hi]
+        row = (source_row[idx] - first_row) * dist.shape[1]
+        base = (graphs[idx] - g0) * n
+        first_row += rows
+        at_dst = row + base + dst[idx]
+        reach = np.isfinite(dist.ravel()[at_dst])
+        # Where the unconstrained shortest path is the direct edge,
+        # search again with that single edge excluded.
+        direct = reach & (pred.ravel()[at_dst] == base + src[idx])
+        reruns.append(idx[direct])
+        walk = reach & ~direct
+        back, hops = _walk(
+            pred.ravel(), row[walk], base[walk], src[idx[walk]], dst[idx[walk]], n
+        )
+        settle(idx[walk], back, hops)
+
+    # Re-runs: one block per excluded edge, all graphs and sources together.
+    rerun = np.concatenate(reruns)
+    obs.count("core.altpath.reruns", len(rerun))
+    if not len(rerun):
+        return composed, chains
+    slots = _edge_slots(stack, n, graphs[rerun], src[rerun], dst[rerun])
+    for chunk in _rerun_chunks(stack, n, graphs[rerun]):
+        idx = rerun[chunk]
+        base = np.arange(len(idx)) * n
+        dist, pred, _ = _dijkstra(
+            _excluding_stack(stack, n, graphs[idx], slots[chunk]),
+            directed=True,
+            indices=base + src[idx],
+            return_predecessors=True,
+            min_only=True,
+        )
+        ok = np.isfinite(dist[base + dst[idx]])
+        back, hops = _walk(
+            pred, np.zeros_like(base[ok]), base[ok], src[idx[ok]], dst[idx[ok]], n
+        )
+        settle(idx[ok], back, hops)
+    return composed, chains
+
+
+def alternate_values(
+    values: np.ndarray, metric: Metric, pairs: np.ndarray
+) -> np.ndarray:
+    """Best alternate values for pairs spread over a stack of graphs.
+
+    ``values[g]`` is graph ``g``'s ``(n, n)`` edge-value matrix, +inf
+    where no edge is stored; ``pairs`` holds one ``(graph, src, dst)``
+    row per wanted pair.  Each value equals
+    ``AlternatePathFinder(graph).best_all()[pair].value`` for the graph
+    those edges form; NaN marks pairs with no alternate.  All graphs are
+    searched together, in a number of Dijkstra calls that grows only
+    with the stack chunks.
+    """
+    stack = _stack_csr(_search_weights(values, metric))
+    return _alternates(stack, values, metric is Metric.LOSS, pairs)[0]
+
+
+def graphs_per_search(n: int) -> int:
+    """How many ``n``-host graphs' dense weights fit the stack cap.
+
+    Callers that build graphs by the thousand (Figure 11's episodes)
+    hand :func:`alternate_values` this many at a time, so their own
+    per-graph arrays stay as small as the search's.
+    """
+    return max(1, _RERUN_STACK_CAP_BYTES // (8 * n * n))
 
 
 class AlternatePathFinder:
@@ -123,42 +419,15 @@ class AlternatePathFinder:
 
     def __init__(self, graph: MetricGraph) -> None:
         self.graph = graph
-        self._weights = graph.weight_matrix(_edge_weight_transform(graph.metric))
-        # scipy sparse graphs drop explicit zeros; shift by epsilon instead.
-        self._weights = np.where(
-            np.isfinite(self._weights), self._weights + _EPSILON, np.inf
-        )
+        self._values = graph.weight_matrix()
+        self._weights = _search_weights(self._values, graph.metric)
         self._base: csr_matrix | None = None
 
     def _csr(self) -> csr_matrix:
         """The full graph as CSR, built from the dense weights once."""
         if self._base is None:
-            mat = self._weights
-            finite = np.isfinite(mat)
-            rows, cols = np.nonzero(finite)
-            base = csr_matrix(
-                (mat[rows, cols], (rows, cols)), shape=mat.shape
-            )
-            base.sort_indices()
-            self._base = base
+            self._base = _stack_csr(self._weights[None])
         return self._base
-
-    def without_host(self, host: str) -> AlternatePathFinder:
-        """This finder with every edge of ``host`` removed.
-
-        For pairs not touching ``host`` it answers exactly as
-        ``AlternatePathFinder(graph.without_hosts({host}))`` does: the
-        host keeps its index but no stored edge reaches it, so every
-        Dijkstra run makes the same heap moves, in the same order, as on
-        the smaller graph.  Pairs touching ``host`` get no alternate.
-        """
-        i = self.graph.host_index(host)
-        sub = copy.copy(self)
-        sub._weights = self._weights.copy()
-        sub._weights[i, :] = np.inf
-        sub._weights[:, i] = np.inf
-        sub._base = None
-        return sub
 
     def best(self, pair: Pair) -> AlternatePath | None:
         """Best alternate path for one ordered pair, or None if none exists."""
@@ -183,102 +452,32 @@ class AlternatePathFinder:
         graph = self.graph
         hosts = graph.hosts
         wanted = pairs if pairs is not None else sorted(graph.edges)
-        by_src: dict[int, list[int]] = {}
-        for src, dst in wanted:
-            by_src.setdefault(graph.host_index(src), []).append(
-                graph.host_index(dst)
-            )
-        out: dict[Pair, AlternatePath] = {}
-        obs.count("core.altpath.pairs", len(wanted))
-        base = self._csr()
-        for src_idx, dst_idxs in sorted(by_src.items()):
-            dist, pred = _dijkstra(
-                base,
-                directed=True,
-                indices=src_idx,
-                return_predecessors=True,
-            )
-            # Where the unconstrained shortest path is the direct edge,
-            # search again with that single edge excluded.
-            direct = [
-                d for d in dst_idxs if np.isfinite(dist[d]) and pred[d] == src_idx
-            ]
-            excluded = self._best_excluding(src_idx, direct) if direct else {}
-            for dst_idx in dst_idxs:
-                pair = (hosts[src_idx], hosts[dst_idx])
-                if not np.isfinite(dist[dst_idx]):
-                    continue
-                if pred[dst_idx] == src_idx:
-                    hops = excluded.get(dst_idx)
-                    if hops is None:
-                        continue
-                else:
-                    hops = _reconstruct(hosts, pred, src_idx, dst_idx)
-                out[pair] = AlternatePath(
-                    src=pair[0],
-                    dst=pair[1],
-                    hops=hops,
-                    value=_composed_value(graph, hops),
-                )
-        return out
-
-    def _excluding_stack(self, src_idx: int, dst_idxs: list[int]) -> csr_matrix:
-        """Block-diagonal stack of base-CSR copies, one per destination.
-
-        Block ``k`` holds nodes ``k*n .. k*n + n - 1`` and is the base
-        graph with edge ``(src_idx, dst_idxs[k])`` patched to +inf, which
-        Dijkstra treats as absent.  Every ``(src_idx, dst)`` must be a
-        stored edge; the base matrix is not modified.
-        """
-        base = self._csr()
-        n, nnz, m = base.shape[0], base.nnz, len(dst_idxs)
-        row_start = base.indptr[src_idx]
-        row_cols = base.indices[row_start : base.indptr[src_idx + 1]]
-        slots = row_start + np.searchsorted(row_cols, dst_idxs)
-        blocks = np.arange(m)
-        data = np.tile(base.data, m)
-        data[blocks * nnz + slots] = np.inf
-        indices = (base.indices[None, :] + (blocks * n)[:, None]).ravel()
-        indptr = np.append(
-            (base.indptr[None, :-1] + (blocks * nnz)[:, None]).ravel(), m * nnz
+        ends = np.array(
+            [(graph.host_index(s), graph.host_index(d)) for s, d in wanted],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        # Sources in index order, each source's pairs in wanted order.
+        order = np.argsort(ends[:, 0], kind="stable")
+        ends = ends[order]
+        rows = np.column_stack([np.zeros(len(ends), dtype=np.int64), ends])
+        composed, chains = _alternates(
+            self._csr(),
+            self._values[None],
+            graph.metric is Metric.LOSS,
+            rows,
+            with_chains=True,
         )
-        return csr_matrix((data, indices, indptr), shape=(m * n, m * n))
-
-    def _best_excluding(
-        self, src_idx: int, dst_idxs: list[int]
-    ) -> dict[int, tuple[Pair, ...]]:
-        """Shortest src->dst hops avoiding the direct edge, per destination.
-
-        One multi-source Dijkstra per chunk of the excluding stack: the
-        blocks are disconnected, so each source's search stays inside
-        its own copy, and ``min_only=True`` keeps the output one row over
-        the stack instead of one row per source.  Destinations left
-        unreachable are omitted.
-        """
-        obs.count("core.altpath.reruns", len(dst_idxs))
-        base = self._csr()
-        n = base.shape[0]
-        block_bytes = base.data.nbytes + base.indices.nbytes + base.indptr.nbytes
-        per_chunk = max(1, _RERUN_STACK_CAP_BYTES // block_bytes)
-        out: dict[int, tuple[Pair, ...]] = {}
-        for lo in range(0, len(dst_idxs), per_chunk):
-            chunk = dst_idxs[lo : lo + per_chunk]
-            offsets = np.arange(len(chunk)) * n
-            dist, pred, _ = _dijkstra(
-                self._excluding_stack(src_idx, chunk),
-                directed=True,
-                indices=offsets + src_idx,
-                return_predecessors=True,
-                min_only=True,
+        out: dict[Pair, AlternatePath] = {}
+        for (src, dst), value, chain in zip(ends.tolist(), composed.tolist(), chains):
+            if math.isnan(value):
+                continue
+            pair = (hosts[src], hosts[dst])
+            out[pair] = AlternatePath(
+                src=pair[0],
+                dst=pair[1],
+                hops=tuple((hosts[a], hosts[b]) for a, b in zip(chain, chain[1:])),
+                value=value,
             )
-            for offset, dst_idx in zip(offsets.tolist(), chunk):
-                if np.isfinite(dist[offset + dst_idx]):
-                    # Shift the block's predecessors back to host indices
-                    # (scipy's negative "none" marker stays negative).
-                    block_pred = pred[offset : offset + n] - offset
-                    out[dst_idx] = _reconstruct(
-                        self.graph.hosts, block_pred, src_idx, dst_idx
-                    )
         return out
 
 

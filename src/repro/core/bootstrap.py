@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.analysis import AnalysisResult
 from repro.core.graph import Metric, Pair
-from repro.core.stats import compose_loss
+from repro.core.stats import compose_loss, left_sum
 from repro.datasets.dataset import Dataset
 
 
@@ -107,7 +107,7 @@ def bootstrap_improvements(
             default_mean = _resample_mean(default_samples, rng)
             leg_means = [_resample_mean(s, rng) for s in leg_samples]
             if result.metric is Metric.RTT:
-                alt = sum(leg_means)
+                alt = left_sum(leg_means)
             else:
                 alt = compose_loss([min(max(m, 0.0), 1.0) for m in leg_means])
             replicates[b] = default_mean - alt

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.analysis import analyze
 from repro.core.graph import Metric, MetricGraph, Pair, build_graph
-from repro.core.stats import compose_loss
+from repro.core.stats import compose_loss, left_sum
 from repro.datasets.dataset import Dataset
 
 
@@ -56,7 +56,7 @@ def _composed_value(graph: MetricGraph, legs: list[Pair]) -> float | None:
         values.append(graph.edge(leg).value)
     if graph.metric is Metric.LOSS:
         return compose_loss(values)
-    return float(sum(values))
+    return float(left_sum(values))
 
 
 def cross_metric_analysis(

@@ -15,16 +15,16 @@ long-term averaging is involved.  Figure 11 plots three curves:
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.analysis import analyze_graph
-from repro.core.graph import EdgeData, Metric, MetricGraph, Pair
-from repro.core.stats import CDFSeries, SampleStats, make_cdf
+from repro.core.altpath import alternate_values, graphs_per_search
+from repro.core.graph import Metric, Pair
+from repro.core.stats import CDFSeries, make_cdf, row_stats
 from repro.datasets.dataset import Dataset
+from repro.measurement.records import TracerouteRecord
 
 
 class EpisodeError(RuntimeError):
@@ -76,27 +76,57 @@ class EpisodeAnalysis:
         }
 
 
-def _episode_graph(
-    dataset: Dataset, episode: int, hosts: list[str]
-) -> MetricGraph | None:
-    """Build a one-episode RTT graph (each edge from one traceroute)."""
-    graph = MetricGraph(Metric.RTT, hosts)
-    n_edges = 0
-    for rec in dataset.records_in_episode(episode):
-        rtts = rec.successful_rtts
-        if not rtts:
-            continue
-        pair = (rec.src, rec.dst)
-        if graph.has_edge(pair):
-            continue  # keep the first measurement if duplicated
-        mean = float(np.mean(rtts))
-        var = float(np.var(rtts, ddof=1)) if len(rtts) > 1 else 0.0
-        graph.add_edge(
-            pair,
-            EdgeData(value=mean, stats=SampleStats(n=len(rtts), mean=mean, var=var)),
-        )
-        n_edges += 1
-    return graph if n_edges else None
+def _episode_improvements(
+    by_episode: dict[int, list[TracerouteRecord]],
+    episode_ids: list[int],
+    hosts: list[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Per-pair improvements of a run of episodes, in analyze_graph's order.
+
+    Episode ``episode_ids[slot]`` forms one RTT graph whose edge
+    ``(src, dst)`` is the mean RTT of the episode's first traceroute of
+    that pair with an answered probe.  The graphs are searched together
+    (:func:`~repro.core.altpath.alternate_values`).  Returns the slot,
+    pair id ``src * n + dst`` and ``default − alternate`` of every finite
+    improvement, episodes ascending and pairs sorted by name, and the
+    number of episodes in which some pair has an alternate.
+    """
+    n = len(hosts)
+    index = {h: i for i, h in enumerate(hosts)}
+    # Edge key (slot * n + src) * n + dst, sample count and samples.
+    edges, counts, samples = array("q"), array("q"), array("d")
+    for slot, ep in enumerate(episode_ids):
+        seen: set[int] = set()
+        for rec in by_episode[ep]:
+            pair = index[rec.src] * n + index[rec.dst]
+            if pair in seen:
+                continue  # keep the first measurement if duplicated
+            rtts = rec.successful_rtts
+            if rtts:
+                seen.add(pair)
+                edges.append(slot * n * n + pair)
+                counts.append(len(rtts))
+                samples.extend(rtts)
+    means, _ = row_stats(np.frombuffer(samples), np.frombuffer(counts, dtype=np.int64))
+    edge = np.frombuffer(edges, dtype=np.int64)
+    # Episodes without edges form no graph; the rest are renumbered.
+    slots, graph_of = np.unique(edge // (n * n), return_inverse=True)
+    src, dst = edge // n % n, edge % n
+    values = np.full((len(slots), n, n), np.inf)
+    values[graph_of, src, dst] = means
+    by_name = {h: r for r, h in enumerate(sorted(hosts))}
+    rank = np.array([by_name[h] for h in hosts], dtype=np.int64)
+    order = np.lexsort((rank[dst], rank[src], graph_of))
+    pairs = np.column_stack([graph_of, src, dst])[order]
+    improvement = means[order] - alternate_values(values, Metric.RTT, pairs)
+    found = ~np.isnan(improvement)
+    kept = found & np.isfinite(improvement)
+    return (
+        slots[pairs[kept, 0]],
+        pairs[kept, 1] * n + pairs[kept, 2],
+        improvement[kept],
+        len(np.unique(pairs[found, 0])),
+    )
 
 
 def analyze_episodes(dataset: Dataset, *, max_episodes: int | None = None) -> EpisodeAnalysis:
@@ -105,7 +135,10 @@ def analyze_episodes(dataset: Dataset, *, max_episodes: int | None = None) -> Ep
     "In analyzing UW4-A, we compute the best alternate path using only
     measurements taken from the same episode; we then calculate the
     difference between the measurement of the default path and the best
-    alternate path within the episode."
+    alternate path within the episode."  Each improvement equals the one
+    ``analyze_graph`` computes for the pair on its episode's graph
+    (see :func:`_episode_improvements`).  Episodes are searched as many
+    at a time as :func:`~repro.core.altpath.graphs_per_search` allows.
 
     Args:
         dataset: A dataset collected with episode scheduling.
@@ -114,22 +147,30 @@ def analyze_episodes(dataset: Dataset, *, max_episodes: int | None = None) -> Ep
     Raises:
         EpisodeError: if the dataset has no episodes.
     """
-    episode_ids = dataset.episodes()
-    if not episode_ids:
+    by_episode = dataset.records_by_episode()
+    if not by_episode:
         raise EpisodeError(f"{dataset.meta.name} has no episode-scheduled records")
-    if max_episodes is not None:
-        episode_ids = episode_ids[:max_episodes]
-    diffs: dict[Pair, list[tuple[int, float]]] = defaultdict(list)
+    episode_ids = list(by_episode)[:max_episodes]
+    hosts = dataset.hosts
+    n = len(hosts)
+    per_search = graphs_per_search(n)
+    diffs: dict[Pair, list[tuple[int, float]]] = {}
     analyzed = 0
-    for ep in episode_ids:
-        graph = _episode_graph(dataset, ep, dataset.hosts)
-        if graph is None:
-            continue
-        result = analyze_graph(graph, dataset_name=f"{dataset.meta.name} ep{ep}")
-        if not result.comparisons:
-            continue
-        analyzed += 1
-        for comp in result.comparisons:
-            if math.isfinite(comp.improvement):
-                diffs[(comp.src, comp.dst)].append((ep, comp.improvement))
-    return EpisodeAnalysis(diffs=dict(diffs), episodes_analyzed=analyzed)
+    for first in range(0, len(episode_ids), per_search):
+        batch = episode_ids[first : first + per_search]
+        slot, pair, value, count = _episode_improvements(by_episode, batch, hosts)
+        analyzed += count
+        # Extend each pair's observations in episode order, adding new
+        # pairs in order of first appearance.  An object array hands back
+        # the episode ids themselves, not copies.
+        episode_of = np.array(batch, dtype=object)[slot]
+        by_pair = np.argsort(pair, kind="stable")
+        ids, first_seen, sizes = np.unique(pair, return_index=True, return_counts=True)
+        starts = np.cumsum(sizes) - sizes
+        for i in np.argsort(first_seen).tolist():
+            at = by_pair[starts[i] : starts[i] + sizes[i]]
+            s, d = divmod(int(ids[i]), n)
+            diffs.setdefault((hosts[s], hosts[d]), []).extend(
+                zip(episode_of[at].tolist(), value[at].tolist())
+            )
+    return EpisodeAnalysis(diffs=diffs, episodes_analyzed=analyzed)

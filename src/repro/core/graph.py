@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.stats import SampleStats, StatsError
+from repro.core.stats import SampleStats, row_stats
 from repro.datasets.dataset import Dataset
 
 Pair = tuple[str, str]
@@ -182,62 +182,50 @@ def build_graph(
     if metric is Metric.BANDWIDTH and not dataset.is_bandwidth:
         raise GraphError("bandwidth graphs require an npd (transfer) dataset")
     graph = MetricGraph(metric, list(dataset.hosts))
-    for pair in dataset.pairs():
-        if dataset.n_measurements_for(pair) < min_samples:
-            continue
-        data = _edge_from_dataset(dataset, pair, metric, keep_samples)
-        if data is not None:
-            graph.add_edge(pair, data)
+    pairs = [p for p in dataset.pairs() if dataset.n_measurements_for(p) >= min_samples]
+    if metric is Metric.BANDWIDTH:
+        for pair in pairs:
+            data = _bandwidth_edge(dataset, pair, keep_samples)
+            if data is not None:
+                graph.add_edge(pair, data)
+        return graph
+    sampler = dataset.loss_samples if metric is Metric.LOSS else dataset.rtt_samples
+    measured = [(pair, s) for pair in pairs if (s := sampler(pair)).size]
+    counts = np.array([s.size for _, s in measured], dtype=np.int64)
+    flat = np.concatenate([s for _, s in measured]) if measured else np.empty(0)
+    means, variances = row_stats(flat.astype(float, copy=False), counts)
+    for (pair, samples), n, mean, var in zip(
+        measured, counts.tolist(), means.tolist(), variances.tolist()
+    ):
+        value = mean
+        if metric is Metric.PROP_DELAY:
+            value = float(np.percentile(samples, PROPAGATION_PERCENTILE))
+        graph.add_edge(
+            pair,
+            EdgeData(
+                value=value,
+                stats=SampleStats(n=n, mean=mean, var=var),
+                samples=samples if keep_samples else None,
+            ),
+        )
     return graph
 
 
-def _edge_from_dataset(
-    dataset: Dataset, pair: Pair, metric: Metric, keep_samples: bool
+def _bandwidth_edge(
+    dataset: Dataset, pair: Pair, keep_samples: bool
 ) -> EdgeData | None:
-    if metric is Metric.RTT:
-        samples = dataset.rtt_samples(pair)
-        if samples.size == 0:
-            return None
-        stats = SampleStats.from_samples(samples)
-        return EdgeData(
-            value=stats.mean,
-            stats=stats,
-            samples=samples if keep_samples else None,
-        )
-    if metric is Metric.LOSS:
-        samples = dataset.loss_samples(pair)
-        if samples.size == 0:
-            return None
-        stats = SampleStats.from_samples(samples)
-        return EdgeData(
-            value=stats.mean,
-            stats=stats,
-            samples=samples if keep_samples else None,
-        )
-    if metric is Metric.PROP_DELAY:
-        samples = dataset.rtt_samples(pair)
-        if samples.size == 0:
-            return None
-        stats = SampleStats.from_samples(samples)
-        return EdgeData(
-            value=float(np.percentile(samples, PROPAGATION_PERCENTILE)),
-            stats=stats,
-            samples=samples if keep_samples else None,
-        )
-    if metric is Metric.BANDWIDTH:
-        bw = dataset.bandwidth_samples(pair)
-        if bw.size == 0:
-            return None
-        stats = SampleStats.from_samples(bw)
-        rtts = dataset.rtt_samples(pair)
-        losses = dataset.loss_samples(pair)
-        return EdgeData(
-            value=stats.mean,
-            stats=stats,
-            samples=bw if keep_samples else None,
-            aux={
-                "rtt_mean": float(rtts.mean()),
-                "loss_mean": float(losses.mean()),
-            },
-        )
-    raise StatsError(f"unhandled metric {metric}")  # pragma: no cover
+    bw = dataset.bandwidth_samples(pair)
+    if bw.size == 0:
+        return None
+    stats = SampleStats.from_samples(bw)
+    rtts = dataset.rtt_samples(pair)
+    losses = dataset.loss_samples(pair)
+    return EdgeData(
+        value=stats.mean,
+        stats=stats,
+        samples=bw if keep_samples else None,
+        aux={
+            "rtt_mean": float(rtts.mean()),
+            "loss_mean": float(losses.mean()),
+        },
+    )

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.altpath import AlternatePathFinder
+from repro.core.altpath import alternate_values
 from repro.core.analysis import AnalysisResult, analyze_graph
 from repro.core.graph import Metric, MetricGraph
 from repro.core.stats import CDFSeries, make_cdf
@@ -58,9 +58,13 @@ def _candidate_improvements(
     for element.  Removing a vertex never shortens a path, and Dijkstra
     accumulates a path's cost in the same order whatever else the graph
     holds, so every pair whose best alternate avoids ``host`` keeps it;
-    only the pairs routed via ``host`` are searched again.  (Where another
-    path ties the old one exactly, keeping it relies on Dijkstra breaking
-    the tie the same way without ``host``; the differential tests check
+    only the pairs routed via ``host`` are searched again.  Those
+    searches run on a copy of the graph with every edge of ``host``
+    removed but its index kept, so each makes the same heap moves as on
+    the smaller graph, and all candidates' copies are searched together
+    (:func:`~repro.core.altpath.alternate_values`).  (Where another path
+    ties the old one exactly, keeping it relies on Dijkstra breaking the
+    tie the same way without ``host``; the differential tests check
     tie-heavy graphs against the full re-analysis.)  Comparisons stay in
     the result's sorted-pair order, so the vector's mean is bit-identical
     to the full re-analysis.
@@ -68,30 +72,41 @@ def _candidate_improvements(
     graph = result.graph
     comparisons = result.comparisons
     base = result.improvements()
+    defaults = np.array([c.default_value for c in comparisons])
     ends = np.array(
         [(graph.host_index(c.src), graph.host_index(c.dst)) for c in comparisons],
-        dtype=int,
+        dtype=np.int64,
     ).reshape(-1, 2)
     routed: dict[str, list[int]] = {h: [] for h in graph.hosts}
     for i, comp in enumerate(comparisons):
         for mid in comp.via:
             routed[mid].append(i)
-    finder = AlternatePathFinder(graph)
+    candidates = [i for i, h in enumerate(graph.hosts) if routed[h]]
+    rows = [
+        (k, *ends[i])
+        for k, h_idx in enumerate(candidates)
+        for i in routed[graph.hosts[h_idx]]
+    ]
+    obs.count("core.hosts.pairs_resolved", len(rows))
+    values = np.repeat(graph.weight_matrix()[None], len(candidates), axis=0)
+    copies = np.arange(len(candidates))
+    values[copies, candidates, :] = np.inf
+    values[copies, :, candidates] = np.inf
+    alternates = alternate_values(
+        values, graph.metric, np.array(rows, dtype=np.int64).reshape(-1, 3)
+    )
+    resolved = 0
     for h_idx, host in enumerate(graph.hosts):
         keep = (ends[:, 0] != h_idx) & (ends[:, 1] != h_idx)
         improvements = base.copy()
         if routed[host]:
-            obs.count("core.hosts.pairs_resolved", len(routed[host]))
-            pairs = [(comparisons[i].src, comparisons[i].dst) for i in routed[host]]
-            alternates = finder.without_host(host).best_all(pairs)
-            for i, pair in zip(routed[host], pairs):
-                alt = alternates.get(pair)
-                if alt is None:
-                    keep[i] = False
-                else:
-                    # The finder serves lower-is-better metrics only, so
-                    # this is PairComparison.improvement.
-                    improvements[i] = comparisons[i].default_value - alt.value
+            idx = routed[host]
+            alt = alternates[resolved : resolved + len(idx)]
+            resolved += len(idx)
+            keep[idx] &= ~np.isnan(alt)
+            # alternate_values serves lower-is-better metrics only, so
+            # this is PairComparison.improvement.
+            improvements[idx] = defaults[idx] - alt
         yield host, improvements[keep]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.analysis import AnalysisResult, analyze
 from repro.core.graph import Metric, Pair, build_graph
-from repro.core.stats import CDFSeries, make_cdf
+from repro.core.stats import CDFSeries, left_sum, make_cdf
 from repro.datasets.dataset import Dataset
 
 
@@ -127,7 +127,7 @@ def decompose_improvements(
         if not all(prop_graph.has_edge(leg) for leg in legs):
             continue
         default_prop = prop_graph.edge(pair).value
-        alt_prop = sum(prop_graph.edge(leg).value for leg in legs)
+        alt_prop = left_sum(prop_graph.edge(leg).value for leg in legs)
         points.append(
             DelayDecomposition(
                 src=comp.src,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import special
@@ -69,6 +69,45 @@ class SampleStats:
     def sem_sq(self) -> float:
         """Squared standard error of the mean, ``var / n``."""
         return self.var / self.n
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` one addition at a time, first to last.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so its
+    result depends on the interpreter; this is Python 3.11's ``sum``,
+    bit for bit, on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def row_stats(  # hotpath
+    samples: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 variance of every row of a ragged sample array.
+
+    Row ``i`` is the next ``counts[i]`` entries of ``samples`` and gets
+    exactly the ``mean`` and ``var`` that ``SampleStats.from_samples``
+    computes for it.  Rows of equal length are gathered into one
+    C-contiguous ``(m, k)`` block and reduced along ``axis=1``, which
+    runs numpy's pairwise sum over each row as a one-row call does; rows
+    are never padded, since padding would change that sum's grouping.
+    Every row needs at least one sample.
+    """
+    means = np.empty(len(counts))
+    variances = np.zeros(len(counts))
+    starts = np.cumsum(counts) - counts
+    width = np.arange(counts.max(initial=0))
+    for k in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == k)
+        block = samples[starts[members][:, None] + width[:k]]
+        means[members] = block.mean(axis=1)
+        if k > 1:
+            variances[members] = block.var(axis=1, ddof=1)
+    return means, variances
 
 
 class Comparison(enum.Enum):
@@ -158,8 +197,8 @@ def diff_of_means(
     """
     if not alternate_components:
         raise StatsError("alternate path needs at least one component")
-    alt_mean = sum(c.mean for c in alternate_components)
-    var = default.sem_sq + sum(c.sem_sq for c in alternate_components)
+    alt_mean = left_sum(c.mean for c in alternate_components)
+    var = default.sem_sq + left_sum(c.sem_sq for c in alternate_components)
     dof = welch_satterthwaite([default, *alternate_components])
     return DiffEstimate(diff=default.mean - alt_mean, se=math.sqrt(var), dof=dof)
 

@@ -185,9 +185,17 @@ class Dataset:
         ids = {rec.episode for rec in self.traceroutes if rec.episode >= 0}
         return sorted(ids)
 
-    def records_in_episode(self, episode: int) -> list[TracerouteRecord]:
-        """All traceroute records belonging to one episode."""
-        return [rec for rec in self.traceroutes if rec.episode == episode]
+    def records_by_episode(self) -> dict[int, list[TracerouteRecord]]:
+        """Every episode's traceroute records, in collection order.
+
+        One pass over the records; keys are the episode ids of
+        :meth:`episodes`, ascending.
+        """
+        grouped: dict[int, list[TracerouteRecord]] = defaultdict(list)
+        for rec in self.traceroutes:
+            if rec.episode >= 0:
+                grouped[rec.episode].append(rec)
+        return {ep: grouped[ep] for ep in sorted(grouped)}
 
     # -- derived datasets ------------------------------------------------------
 

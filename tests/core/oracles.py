@@ -1,30 +1,50 @@
 """Reference implementations the core fast paths are checked against.
 
 * :func:`best_all_per_pair` is the best-alternate search with one
-  excluded-edge Dijkstra call per direct-edge pair, each on a freshly
-  patched CSR copy (:func:`csr_excluding`).
-  ``AlternatePathFinder.best_all`` answers all of one source's re-runs
-  with a single call over a stack of such copies.
+  Dijkstra call per source on the full graph and one excluded-edge call
+  per direct-edge pair, each on a freshly patched CSR copy
+  (:func:`csr_excluding`).  ``AlternatePathFinder.best_all`` answers all
+  sources with one multi-source call and all re-runs with one call over
+  a stack of such copies.
 * :func:`greedy_host_removal_full` is Figure 12's greedy loop with every
   candidate graph re-analysed from scratch.  ``greedy_host_removal``
-  re-solves only the pairs routed via each candidate.
+  re-solves only the pairs routed via each candidate, all candidates of
+  a step in one stacked search.
+* :func:`analyze_episodes_per_episode` is Figure 11's loop: one
+  ``MetricGraph`` and one ``analyze_graph`` per UW4-A episode.
+  ``analyze_episodes`` searches the episode graphs together.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.core.altpath import (
-    AlternatePath,
-    AlternatePathFinder,
-    _composed_value,
-    _reconstruct,
-)
+from repro.core.altpath import AlternatePath, AlternatePathFinder, _composed_value
 from repro.core.analysis import analyze_graph
-from repro.core.graph import MetricGraph, Pair
+from repro.core.episodes import EpisodeAnalysis
+from repro.core.graph import EdgeData, GraphError, Metric, MetricGraph, Pair
 from repro.core.hosts import RemovalStep
+from repro.core.stats import SampleStats
+from repro.datasets.dataset import Dataset
+
+
+def _reconstruct(
+    hosts: list[str], predecessors: np.ndarray, src_idx: int, dst_idx: int
+) -> tuple[Pair, ...]:
+    """Walk a scipy predecessor row from dst back to src."""
+    chain = [dst_idx]
+    node = dst_idx
+    while node != src_idx:
+        node = int(predecessors[node])
+        if node < 0:
+            raise GraphError("broken predecessor chain")
+        chain.append(node)
+    chain.reverse()
+    return tuple((hosts[a], hosts[b]) for a, b in zip(chain, chain[1:]))
 
 
 def csr_excluding(base: csr_matrix, src_idx: int, dst_idx: int) -> csr_matrix:
@@ -125,3 +145,50 @@ def greedy_host_removal_full(
         )
         current = current.without_hosts({best_host})
     return steps
+
+
+def _episode_graph(
+    dataset: Dataset, episode: int, hosts: list[str]
+) -> MetricGraph | None:
+    """One episode's RTT graph, each edge from the pair's first answered
+    traceroute."""
+    graph = MetricGraph(Metric.RTT, hosts)
+    n_edges = 0
+    for rec in dataset.traceroutes:
+        if rec.episode != episode:
+            continue
+        rtts = rec.successful_rtts
+        if not rtts:
+            continue
+        pair = (rec.src, rec.dst)
+        if graph.has_edge(pair):
+            continue  # keep the first measurement if duplicated
+        mean = float(np.mean(rtts))
+        var = float(np.var(rtts, ddof=1)) if len(rtts) > 1 else 0.0
+        graph.add_edge(
+            pair,
+            EdgeData(value=mean, stats=SampleStats(n=len(rtts), mean=mean, var=var)),
+        )
+        n_edges += 1
+    return graph if n_edges else None
+
+
+def analyze_episodes_per_episode(
+    dataset: Dataset, *, max_episodes: int | None = None
+) -> EpisodeAnalysis:
+    """``analyze_episodes`` building and analysing one graph per episode."""
+    diffs: dict[Pair, list[tuple[int, float]]] = {}
+    analyzed = 0
+    for ep in dataset.episodes()[:max_episodes]:
+        graph = _episode_graph(dataset, ep, dataset.hosts)
+        if graph is None:
+            continue
+        result = analyze_graph(graph, dataset_name=f"{dataset.meta.name} ep{ep}")
+        if not result.comparisons:
+            continue
+        analyzed += 1
+        for comp in result.comparisons:
+            if math.isfinite(comp.improvement):
+                pair = (comp.src, comp.dst)
+                diffs.setdefault(pair, []).append((ep, comp.improvement))
+    return EpisodeAnalysis(diffs=diffs, episodes_analyzed=analyzed)

@@ -203,58 +203,89 @@ def test_direct_edge_never_its_own_alternate(seed):
         )
 
 
-def _first_rows(g, limit=10):
-    """The first ``limit`` measured pairs as ``{src_idx: [dst_idx, ...]}``."""
-    rows = {}
-    for src, dst in sorted(g.edges)[:limit]:
-        rows.setdefault(g.host_index(src), []).append(g.host_index(dst))
-    return rows
+def _first_rows(g, limit=10, graph=0):
+    """``limit`` measured pairs, every fifth in sorted order, as
+    ``(graph, src, dst)`` rows."""
+    return np.array(
+        [
+            (graph, g.host_index(s), g.host_index(d))
+            for s, d in sorted(g.edges)[::5][:limit]
+        ],
+        dtype=np.int64,
+    )
 
 
 def test_rerun_matches_dense_exclusion(mini_dataset):
     """Each block of the batched exclusion stack searches the same graph
     as naively rebuilding the CSR from a dense matrix with the entry
-    removed."""
+    removed.  The stack mixes blocks of several sources and of two
+    graphs."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
+    from repro.core.altpath import _edge_slots, _excluding_stack, _stack_csr
     from repro.core.graph import build_graph
 
-    g = build_graph(mini_dataset, Metric.RTT, min_samples=5)
-    finder = AlternatePathFinder(g)
-    n = len(g.hosts)
+    finders = [
+        AlternatePathFinder(build_graph(mini_dataset, Metric.RTT, min_samples=k))
+        for k in (5, 1)
+    ]
+    n = len(finders[0].graph.hosts)
+    stack = _stack_csr(np.stack([f._weights for f in finders]))
+    rows = np.concatenate(
+        [_first_rows(f.graph, limit=5, graph=i) for i, f in enumerate(finders)]
+    )
+    graphs, src, dst = rows.T
+    assert len(set(src.tolist())) > 1
+    blocks = _excluding_stack(stack, n, graphs, _edge_slots(stack, n, graphs, src, dst))
+    fast = dijkstra(
+        blocks, directed=True, indices=np.arange(len(rows)) * n + src, min_only=True
+    )
     checked = 0
-    for i, dsts in _first_rows(g).items():
-        stack = finder._excluding_stack(i, dsts)
-        fast = dijkstra(
-            stack,
-            directed=True,
-            indices=[k * n + i for k in range(len(dsts))],
-            min_only=True,
+    for k, (g, i, j) in enumerate(rows.tolist()):
+        dense = finders[g]._weights.copy()
+        dense[i, j] = np.inf
+        finite = np.isfinite(dense)
+        r, c = np.nonzero(finite)
+        slow = csr_matrix((dense[r, c], (r, c)), shape=dense.shape)
+        np.testing.assert_allclose(
+            fast[k * n : (k + 1) * n],
+            dijkstra(slow, directed=True, indices=i),
         )
-        for k, j in enumerate(dsts):
-            dense = finder._weights.copy()
-            dense[i, j] = np.inf
-            finite = np.isfinite(dense)
-            rows, cols = np.nonzero(finite)
-            slow = csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
-            np.testing.assert_allclose(
-                fast[k * n : (k + 1) * n],
-                dijkstra(slow, directed=True, indices=i),
-            )
-            checked += 1
+        checked += 1
     assert checked == 10
 
 
 def test_exclusion_does_not_mutate_base(mini_dataset):
+    from repro.core.altpath import _edge_slots, _excluding_stack
     from repro.core.graph import build_graph
 
     g = build_graph(mini_dataset, Metric.RTT, min_samples=5)
     finder = AlternatePathFinder(g)
     before = finder._csr().data.copy()
-    for i, dsts in _first_rows(g).items():
-        finder._best_excluding(i, dsts)
+    graphs, src, dst = _first_rows(g).T
+    stack = finder._csr()
+    n = len(g.hosts)
+    _excluding_stack(stack, n, graphs, _edge_slots(stack, n, graphs, src, dst))
+    finder.best_all(sorted(g.edges)[::5][:10])
     np.testing.assert_array_equal(finder._csr().data, before)
+
+
+def test_composed_values_sum_left_to_right_on_every_interpreter():
+    """0.1 + 0.2 + 0.3 adds up to 0.6000000000000001 one addition at a
+    time; Python 3.12's compensated ``sum`` would say 0.6."""
+    from repro.core.altpath import _composed_value
+
+    g = _graph(
+        Metric.RTT,
+        ["a", "b", "c", "d"],
+        {("a", "b"): 0.1, ("b", "c"): 0.2, ("c", "d"): 0.3, ("a", "d"): 0.05},
+    )
+    hops = (("a", "b"), ("b", "c"), ("c", "d"))
+    assert _composed_value(g, hops) == 0.6000000000000001
+    alt = AlternatePathFinder(g).best(("a", "d"))
+    assert alt is not None and alt.hops == hops
+    assert alt.value == 0.6000000000000001
 
 
 @given(seed=st.integers(min_value=0, max_value=500))

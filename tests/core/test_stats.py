@@ -15,8 +15,10 @@ from repro.core.stats import (
     compose_loss,
     diff_of_loss_rates,
     diff_of_means,
+    left_sum,
     make_cdf,
     median_of_composed,
+    row_stats,
     welch_satterthwaite,
 )
 
@@ -54,6 +56,44 @@ def test_sample_stats_match_numpy(samples):
     stats = SampleStats.from_samples(samples)
     assert stats.mean == pytest.approx(float(samples.mean()))
     assert stats.var == pytest.approx(float(samples.var(ddof=1)))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [list(range(1, 41)), [1, 1, 2, 40, 2, 3], [100, 257, 300, 100, 513]],
+    ids=["1-40", "mixed", "hundreds"],
+)
+def test_row_stats_match_sample_stats(lengths):
+    """Ragged rows, reduced a block of equal lengths at a time, give each
+    row exactly SampleStats.from_samples' mean and variance."""
+    rng = np.random.default_rng(len(lengths))
+    rows = [
+        rng.normal(100.0, 30.0, size=k) * rng.choice([1e-3, 1.0, 1e3])
+        for k in lengths * 3
+    ]
+    means, variances = row_stats(
+        np.concatenate(rows), np.array([len(r) for r in rows])
+    )
+    for row, mean, var in zip(rows, means.tolist(), variances.tolist()):
+        ref = SampleStats.from_samples(row)
+        assert (mean, var) == (ref.mean, ref.var)
+
+
+def test_row_stats_of_no_rows():
+    means, variances = row_stats(np.empty(0), np.zeros(0, dtype=np.int64))
+    assert means.size == variances.size == 0
+
+
+def test_left_sum_adds_first_to_last():
+    """Python 3.11's float sum on every interpreter (3.12's builtin sum
+    compensates and returns 0.6 here)."""
+    assert left_sum([0.1, 0.2, 0.3]) == 0.6000000000000001
+    assert left_sum([]) == 0.0
+    est = diff_of_means(
+        SampleStats(n=5, mean=1.0, var=0.0),
+        [SampleStats(n=5, mean=m, var=0.0) for m in (0.1, 0.2, 0.3)],
+    )
+    assert est.diff == 1.0 - 0.6000000000000001
 
 
 # -- Welch-Satterthwaite ------------------------------------------------------

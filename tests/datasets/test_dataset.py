@@ -132,8 +132,10 @@ def test_episode_accessors():
     ]
     ds = Dataset(meta=_meta(), hosts=["a", "b"], traceroutes=records)
     assert ds.episodes() == [0, 1]
-    assert len(ds.records_in_episode(0)) == 2
-    assert len(ds.records_in_episode(1)) == 1
+    by_episode = ds.records_by_episode()
+    assert list(by_episode) == [0, 1]
+    assert by_episode[0] == records[:2]
+    assert by_episode[1] == records[2:3]
 
 
 def test_bandwidth_accessors(mini_transfers):
