@@ -13,6 +13,7 @@ from repro.core import AlternatePathFinder, Metric, build_graph, greedy_host_rem
 from repro.measurement import Campaign, poisson_pairs
 from repro.netsim import NetworkConditions, PathSampler, SECONDS_PER_DAY
 from repro.routing import BGPTable, PathResolver
+from repro.routing.columnar import VIA_NONE
 from repro.topology import TopologyConfig, generate_topology, place_hosts
 
 
@@ -198,7 +199,10 @@ def _failure_cycle(topo, plan, full):
     if full:
         topo.routing_cache("bgp").clear()
     BGPTable(topo).converge_all()
-    n = sum(len(t) for t in topo.routing_cache("bgp")["routes"].values())
+    n = sum(
+        int((column.via != VIA_NONE).sum())
+        for column in topo.routing_cache("bgp")["routes"].values()
+    )
     timeline.reset()
     return n
 

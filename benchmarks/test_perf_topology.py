@@ -74,7 +74,7 @@ def test_perf_topology_object_converge(benchmark, topo_1k):
 def test_perf_topology_columnar_converge_1k(benchmark, arrays_1k):
     """Columnar solver on the identical 1k workload (the speedup pair)."""
     dests = _dest_subset(arrays_1k, N_CONVERGE_DESTS)
-    table = run_once(benchmark, converge_all, arrays_1k, dests, jobs=1)
+    table = run_once(benchmark, converge_all, arrays_1k, dests)
     assert table.route(int(arrays_1k.as_asn[-1]), dests[0]) is not None
 
 
@@ -90,7 +90,7 @@ def test_perf_topology_scale_generate_10k(benchmark):
 def test_perf_topology_columnar_converge_10k(benchmark, arrays_10k):
     """Blocked columnar convergence of a 512-destination slice at 10k AS."""
     dests = _dest_subset(arrays_10k, 512)
-    table = run_once(benchmark, converge_all, arrays_10k, dests, jobs=1)
+    table = run_once(benchmark, converge_all, arrays_10k, dests)
     assert table.route(int(arrays_10k.as_asn[-1]), dests[0]) is not None
 
 

@@ -69,7 +69,7 @@ command surface:
                (--dataset-file PATH, or positionally)
   map          render a topology to an SVG map
   suite        build or load the full Table 1 dataset suite
-               (--jobs, --routing-jobs, --no-cache, --trace out.json,
+               (--jobs, --no-cache, --trace out.json,
                robustness flags)
   reproduce    regenerate the paper's tables/figures
                (--only, -o report.md, --svg-dir, --trace out.json)
@@ -102,17 +102,6 @@ def _add_seed_arg(p: argparse.ArgumentParser, default: int = 1999) -> None:
         default=default,
         help=f"master seed; every derived random stream and artifact is "
         f"deterministic in it (default {default})",
-    )
-
-
-def _add_routing_jobs_arg(p: argparse.ArgumentParser) -> None:
-    """The uniform ``--routing-jobs`` flag."""
-    p.add_argument(
-        "--routing-jobs",
-        type=int,
-        default=None,
-        help="BGP batch-convergence worker processes "
-        "(default: REPRO_ROUTING_JOBS or serial)",
     )
 
 
@@ -344,7 +333,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 cfg,
                 use_cache=not args.no_cache,
                 jobs=args.jobs,
-                routing_jobs=args.routing_jobs,
                 report=report,
                 progress=print,
                 fault_plan=args.fault_plan,
@@ -431,8 +419,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     forwarded = ["--scale", str(args.scale), "--seed", str(args.seed)]
     if args.jobs is not None:
         forwarded += ["--jobs", str(args.jobs)]
-    if args.routing_jobs is not None:
-        forwarded += ["--routing-jobs", str(args.routing_jobs)]
     if markdown:
         forwarded += ["--markdown", markdown]
     if args.svg_dir:
@@ -508,7 +494,6 @@ def _read_scenario_spec(args: argparse.Namespace) -> str | None:
 def _cmd_whatif(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
-    from repro.experiments.runner import _routing_jobs_env
     from repro.obs import runtime as obs
     from repro.scenario import (
         ScenarioError,
@@ -522,13 +507,12 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         plan = ScenarioPlan.parse(spec)
-        with _routing_jobs_env(args.routing_jobs):
-            capture_ctx = obs.capture() if args.trace else nullcontext()
-            with capture_ctx as cap:
-                run = ScenarioRun(
-                    plan, seed=args.seed, n_hosts=args.hosts, scale=args.scale
-                )
-                dataset, report = run.execute()
+        capture_ctx = obs.capture() if args.trace else nullcontext()
+        with capture_ctx as cap:
+            run = ScenarioRun(
+                plan, seed=args.seed, n_hosts=args.hosts, scale=args.scale
+            )
+            dataset, report = run.execute()
     except (ScenarioPlanError, ScenarioError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -564,7 +548,6 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
-    from repro.experiments.runner import _routing_jobs_env
     from repro.obs import runtime as obs
     from repro.scenario import ScenarioError, ScenarioPlan, ScenarioPlanError
     from repro.service import (
@@ -583,20 +566,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         strategies = strategy_names()
     try:
         plan = ScenarioPlan.parse(spec)
-        with _routing_jobs_env(args.routing_jobs):
-            capture_ctx = obs.capture() if args.trace else nullcontext()
-            with capture_ctx as cap:
-                service = DetourService(
-                    plan,
-                    seed=args.seed,
-                    n_hosts=args.hosts,
-                    n_pairs=args.pairs,
-                    duration_s=args.duration,
-                    probe_interval_s=args.probe_interval,
-                    relays_per_pair=args.relays,
-                    scale=args.scale,
-                )
-                report = evaluate_strategies(service, strategies)
+        capture_ctx = obs.capture() if args.trace else nullcontext()
+        with capture_ctx as cap:
+            service = DetourService(
+                plan,
+                seed=args.seed,
+                n_hosts=args.hosts,
+                n_pairs=args.pairs,
+                duration_s=args.duration,
+                probe_interval_s=args.probe_interval,
+                relays_per_pair=args.relays,
+                scale=args.scale,
+            )
+            report = evaluate_strategies(service, strategies)
     except (ScenarioPlanError, ScenarioError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -763,7 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="build worker processes (default: REPRO_BUILD_JOBS or one per CPU)",
     )
-    _add_routing_jobs_arg(p)
     p.add_argument(
         "--no-cache",
         action="store_true",
@@ -783,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dataset build worker processes (default: one per CPU)",
     )
-    _add_routing_jobs_arg(p)
     p.add_argument(
         "--markdown",
         default=None,
@@ -874,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hosts", type=int, default=12, help="measurement host pool size"
     )
-    _add_routing_jobs_arg(p)
     _add_output_arg(p, "write the scenario dataset here (jsonl)")
     _add_trace_arg(p)
     p.set_defaults(func=_cmd_whatif)
@@ -925,7 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scenario_args(p)
     _add_seed_arg(p)
-    _add_routing_jobs_arg(p)
     _add_output_arg(p, "write the strategy-vs-oracle table here")
     _add_trace_arg(p)
     p.set_defaults(func=_cmd_serve)
@@ -940,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     _configure_bench_parser(p)
     _add_seed_arg(p)
-    _add_routing_jobs_arg(p)
     _add_trace_arg(p)
     p.set_defaults(func=_cmd_bench)
     return parser

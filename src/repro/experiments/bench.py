@@ -95,7 +95,7 @@ def run_benchmarks(
     "rounds": ...}``.  ``quick`` caps benchmarking at one round per test
     (CI smoke mode: detects order-of-magnitude regressions only).
     ``env_overrides`` is merged into the subprocess environment (how the
-    unified ``--seed``/``--routing-jobs`` flags reach the benchmarks).
+    unified ``--seed`` flag reaches the benchmarks).
 
     Raises:
         BenchError: if pytest fails or exports no benchmark data.
@@ -296,18 +296,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 def _unified_env(args: argparse.Namespace) -> dict[str, str]:
     """Subprocess env overrides from the unified CLI flags.
 
-    ``repro bench`` registers ``--seed``/``--routing-jobs`` with the same
-    spelling as the other subcommands; the standalone
-    ``benchmarks/record.py`` parser does not, so both are read with
-    ``getattr`` defaults.
+    ``repro bench`` registers ``--seed`` with the same spelling as the
+    other subcommands; the standalone ``benchmarks/record.py`` parser
+    does not, so it is read with a ``getattr`` default.
     """
     overrides: dict[str, str] = {}
     seed = getattr(args, "seed", None)
     if seed is not None:
         overrides["REPRO_BENCH_SEED"] = str(seed)
-    routing_jobs = getattr(args, "routing_jobs", None)
-    if routing_jobs is not None:
-        overrides["REPRO_ROUTING_JOBS"] = str(routing_jobs)
     return overrides
 
 

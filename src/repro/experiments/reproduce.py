@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments.reproduce [--scale 1.0] [--seed 1999]
-        [--jobs 4] [--routing-jobs 4] [--markdown out.md]
+        [--jobs 4] [--markdown out.md]
         [--svg-dir figures/] [--scorecard]
         [--only figure1,figure3,table2] [--fault-plan SPEC]
         [--build-timeout S] [--keep-going] [--resume] [--trace out.json]
@@ -89,7 +89,6 @@ def run_all(
     only: set[str] | None = None,
     jobs: int | None = None,
     *,
-    routing_jobs: int | None = None,
     fault_plan: str | None = None,
     build_timeout: float | None = None,
     keep_going: bool = False,
@@ -109,7 +108,6 @@ def run_all(
         datasets = provision_datasets(
             BuildConfig(seed=seed, scale=scale),
             jobs=jobs,
-            routing_jobs=routing_jobs,
             report=report,
             fault_plan=fault_plan,
             build_timeout=build_timeout,
@@ -197,13 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="dataset build worker processes (default: one per CPU)",
     )
-    parser.add_argument(
-        "--routing-jobs",
-        type=int,
-        default=None,
-        help="BGP batch-convergence worker processes per build "
-        "(default: REPRO_ROUTING_JOBS or serial)",
-    )
     parser.add_argument("--markdown", type=str, default=None)
     parser.add_argument(
         "--svg-dir",
@@ -268,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
                     args.seed,
                     only,
                     jobs=args.jobs,
-                    routing_jobs=args.routing_jobs,
                     fault_plan=args.fault_plan,
                     build_timeout=args.build_timeout,
                     keep_going=args.keep_going,
@@ -288,7 +278,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed,
                 only,
                 jobs=args.jobs,
-                routing_jobs=args.routing_jobs,
                 fault_plan=args.fault_plan,
                 build_timeout=args.build_timeout,
                 keep_going=args.keep_going,

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -78,7 +77,6 @@ from repro.faults import injection
 from repro.faults.plan import FaultPlan
 from repro.obs import clock
 from repro.obs import runtime as obs
-from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.faults.supervisor import (
     BuildFailure,
     BuildSupervisor,
@@ -147,30 +145,6 @@ def resolve_jobs(jobs: int | None, n_tasks: int) -> int:
         else:
             jobs = os.cpu_count() or 1
     return max(1, min(jobs, n_tasks))
-
-
-@contextmanager
-def _routing_jobs_env(routing_jobs: int | None):
-    """Export ``REPRO_ROUTING_JOBS`` for the duration of a build.
-
-    Build workers are separate processes; the environment variable is the
-    only channel that survives the fork, so the CLI's ``--routing-jobs``
-    flag is threaded through here.  None leaves the environment alone.
-    """
-    if routing_jobs is None:
-        yield
-        return
-    if routing_jobs < 1:
-        raise ValueError(f"routing_jobs must be >= 1, got {routing_jobs}")
-    saved = os.environ.get(ROUTING_JOBS_ENV_VAR)
-    os.environ[ROUTING_JOBS_ENV_VAR] = str(routing_jobs)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(ROUTING_JOBS_ENV_VAR, None)
-        else:
-            os.environ[ROUTING_JOBS_ENV_VAR] = saved
 
 
 def resolve_build_timeout(timeout_s: float | None) -> float | None:
@@ -378,7 +352,6 @@ def provision_datasets(
     *,
     use_cache: bool = True,
     jobs: int | None = None,
-    routing_jobs: int | None = None,
     report: BuildReport | None = None,
     progress: ProgressHook | None = None,
     fault_plan: FaultPlan | str | None = None,
@@ -398,10 +371,6 @@ def provision_datasets(
         jobs: Build worker processes for stale groups (default: the
             ``REPRO_BUILD_JOBS`` env var, else one per CPU; 1 = build
             in-process).
-        routing_jobs: Worker processes for batch BGP convergence inside
-            each group build (exported as ``REPRO_ROUTING_JOBS`` for the
-            duration of the build so forked build workers inherit it;
-            default: leave the environment as-is, which means serial).
         report: Optional instrumentation sink for per-phase timings,
             cache counters, and the resilience trail.
         progress: Optional hook receiving human-readable status lines.
@@ -442,7 +411,7 @@ def provision_datasets(
         sp.set("scale", cfg.scale)
         sp.set("cached", use_cache)
         sp.set("datasets", len(names))
-        with injection.activate(plan), _routing_jobs_env(routing_jobs):
+        with injection.activate(plan):
             if not use_cache:
                 loaded, failures = _build_uncached(
                     cfg, groups, policy=policy, plan=plan, jobs=jobs,

@@ -3,8 +3,9 @@
 An overlay node continuously probes its peers and keeps exponentially
 weighted moving averages of RTT and loss per ordered pair.  This is the
 online analog of the paper's long-term time averages — deliberately
-simple, because the point of the overlay evaluation is to ask how much of
-the paper's *oracle* gain survives estimation lag.
+simple, because its reader, the Detour service's
+:class:`~repro.service.store.PathStore`, exists to ask how much of the
+paper's *oracle* gain survives estimation lag.
 
 The store is one dict holding only the pairs that were probed.  An
 n-host mesh has n·(n-1) ordered pairs, and most are never probed on a

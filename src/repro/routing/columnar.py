@@ -27,38 +27,27 @@ adopters are routeless while every AS on a candidate path is routed — so
 the kernels need no loop detection.  Siblings or provider cycles have no
 such schedule and raise :class:`BGPError`.
 
-:func:`converge_columns` fans destination blocks across a process pool
-with the route table in ``multiprocessing.shared_memory``: workers write
-disjoint column slices in place and return ``None``, so per-destination
-results are never pickled.  :class:`~repro.routing.bgp.BGPTable` reads
-the kernels through per-destination route dicts; :func:`converge_all`
-keeps the table columnar for :class:`TopologyArrays` at scale.  The
-fixpoint relaxation in :mod:`repro.routing.bgp` is the differential
-tests' oracle.
+The kernels' columns are the only route store: a :class:`RouteColumn`
+holds one destination's next-hop, provenance and path-length column and
+walks AS paths along the next-hop chain on demand.
+:class:`~repro.routing.bgp.BGPTable` keeps one column per converged
+destination; :func:`converge_all` returns a whole
+:class:`ColumnarRouteTable` for :class:`TopologyArrays` at scale.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.obs import runtime as obs
 
 from repro.routing.igp import shortest_paths
-from repro.topology.asys import LOCAL_PREF, IGPStyle, Relationship
+from repro.topology.asys import IGPStyle, Relationship
 from repro.topology.columnar import IGP_CODES, TopologyArrays
 from repro.topology.relationships import RelationshipArrays
-
-#: Local-pref of an AS's own prefix (beats every learned route).
-_ORIGIN_PREF = max(LOCAL_PREF.values()) + 100
-
-#: Environment variable overriding the worker count for batch
-#: convergence; the ``--routing-jobs`` CLI flag sets it so dataset
-#: builders running in pool workers inherit the setting.
-ROUTING_JOBS_ENV_VAR = "REPRO_ROUTING_JOBS"
-
 
 class BGPError(RuntimeError):
     """Raised on BGP computation failures (unknown destination, a
@@ -81,48 +70,6 @@ class BGPRoute:
     dest: int
     as_path: tuple[int, ...]
     learned_from: Relationship | None
-
-    @property
-    def next_hop(self) -> int:
-        """The neighbor ASN traffic is handed to (== self for the origin)."""
-        return self.as_path[1] if len(self.as_path) > 1 else self.as_path[0]
-
-    @property
-    def local_pref(self) -> int:
-        """Local-preference value of this route."""
-        if self.learned_from is None:
-            return _ORIGIN_PREF  # own prefix beats all
-        return LOCAL_PREF[self.learned_from]
-
-    def preference_key(self) -> tuple[int, int, int]:
-        """Sort key: smaller is more preferred.
-
-        Orders by descending local-pref, ascending AS-path length,
-        ascending next-hop ASN.
-        """
-        return (-self.local_pref, len(self.as_path), self.next_hop)
-
-
-def resolve_routing_jobs(jobs: int | None, n_tasks: int) -> int:
-    """Worker-process count for a batch of ``n_tasks`` convergence tasks.
-
-    Precedence: explicit ``jobs`` argument, then the
-    ``REPRO_ROUTING_JOBS`` environment variable, else 1 (in-process).
-    Values are clamped to ``[1, n_tasks]``.
-    """
-    if n_tasks <= 0:
-        return 1
-    if jobs is None:
-        env = os.environ.get(ROUTING_JOBS_ENV_VAR)
-        if env is None or not env.strip():
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{ROUTING_JOBS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return max(1, min(jobs, n_tasks))
 
 
 #: Path-length sentinel for "no route"; real lengths are <= n_as + 1.
@@ -198,6 +145,16 @@ class SolverIndex:
     s3_edges: np.ndarray
     s3_starts: np.ndarray
     s3_bands: list[tuple[int, int]]
+
+    @cached_property
+    def asn_list(self) -> list[int]:
+        """:attr:`asn` as a Python list, for path walks."""
+        return self.asn.tolist()
+
+    def index_of(self, asn: int) -> int:
+        """AS index of ``asn``, or -1 when the graph has no such AS."""
+        lookup = self.asn_index
+        return int(lookup[asn]) if 0 <= asn < len(lookup) else -1
 
 
 def _banded_schedule(
@@ -355,14 +312,100 @@ def converge_block(
     return lens, nxt, via
 
 
+class RouteColumn:
+    """One destination's converged routes: its column of the kernel tables.
+
+    ``next_idx``, ``via`` and ``lens`` are the destination's ``(n_as,)``
+    next-hop index, provenance code and path node count (see
+    :func:`converge_block`).  AS paths are walked along the next-hop
+    chain on demand — exact, because every route extends its next hop's
+    own final choice — and memoized per holder, so a repeated lookup is
+    one dict hit.
+    """
+
+    __slots__ = ("index", "dest", "next_idx", "via", "lens", "_next", "_paths")
+
+    def __init__(
+        self,
+        index: SolverIndex,
+        dest: int,
+        next_idx: np.ndarray,
+        via: np.ndarray,
+        lens: np.ndarray,
+    ) -> None:
+        self.index = index
+        self.dest = dest
+        self.next_idx = next_idx
+        self.via = via
+        self.lens = lens
+        self._next: list[int] | None = None
+        self._paths: dict[int, tuple[int, ...] | None] = {}
+
+    def as_path(self, src_asn: int) -> tuple[int, ...] | None:
+        """AS-level path from ``src_asn`` to the destination, or None.
+
+        None when ``src_asn`` holds no route, including ASNs the graph
+        does not have.
+        """
+        try:
+            return self._paths[src_asn]
+        except KeyError:
+            pass
+        src = self.index.index_of(src_asn)
+        path = None if src < 0 or self.via[src] == VIA_NONE else self._walk(src)
+        self._paths[src_asn] = path
+        return path
+
+    def route(self, src_asn: int) -> BGPRoute | None:
+        """The :class:`BGPRoute` installed at ``src_asn``, or None."""
+        path = self.as_path(src_asn)
+        if path is None:
+            return None
+        via = int(self.via[self.index.index_of(src_asn)])
+        return BGPRoute(
+            dest=self.dest, as_path=path, learned_from=_VIA_RELATIONSHIP[via]
+        )
+
+    def longest_path(self) -> int:
+        """Node count of the longest AS path any holder installs."""
+        return int(self.lens[self.via != VIA_NONE].max())
+
+    def without(self, holders: np.ndarray) -> RouteColumn:
+        """This column with the routes held at AS indices ``holders`` dropped."""
+        via = self.via.copy()
+        via[holders] = VIA_NONE
+        return RouteColumn(self.index, self.dest, self.next_idx, via, self.lens)
+
+    def _walk(self, src: int) -> tuple[int, ...]:
+        """Path of routed AS index ``src``, memoizing every holder on it."""
+        if self._next is None:
+            self._next = self.next_idx.tolist()
+        asn, nxt, paths = self.index.asn_list, self._next, self._paths
+        chain: list[int] = []
+        path: tuple[int, ...] = ()
+        node = src
+        while True:
+            known = paths.get(asn[node])
+            if known is not None:
+                path = known
+                break
+            chain.append(node)
+            hop = nxt[node]
+            if hop == node:  # the destination row points at itself
+                break
+            node = hop
+        for node in reversed(chain):
+            path = (asn[node], *path)
+            paths[asn[node]] = path
+        return path
+
+
 class ColumnarRouteTable:
     """Converged routes for an explicit destination list, array-backed.
 
-    State is three ``(n_as, n_dest)`` arrays instead of nested dicts.
-    ``route()`` / ``as_path()`` materialize individual :class:`BGPRoute`
-    objects on demand and ``routes()`` a whole destination's
-    (following the next-hop chain, which is exact because every stored
-    route references its neighbor's final choice).
+    State is three ``(n_as, n_dest)`` arrays; :meth:`column` hands out
+    one destination's :class:`RouteColumn`, which ``route()`` /
+    ``as_path()`` read.
     """
 
     def __init__(
@@ -373,10 +416,10 @@ class ColumnarRouteTable:
         nxt: np.ndarray,
         via: np.ndarray,
     ) -> None:
-        self._asn = index.asn
-        self._asn_index = index.asn_index
+        self._index = index
         self._dest_idx = dest_idx
         self._col = {int(index.asn[d]): j for j, d in enumerate(dest_idx)}
+        self._columns: dict[int, RouteColumn] = {}
         self.lens = lens
         self.next_idx = nxt
         self.via = via
@@ -384,110 +427,65 @@ class ColumnarRouteTable:
     @property
     def dest_asns(self) -> list[int]:
         """Destination ASNs, in table column order."""
-        return [int(self._asn[d]) for d in self._dest_idx]
+        return [int(self._index.asn[d]) for d in self._dest_idx]
+
+    def column(self, dst_asn: int) -> RouteColumn:
+        """The route column of destination ``dst_asn``.
+
+        Raises:
+            KeyError: if ``dst_asn`` is not one of the table's destinations.
+        """
+        column = self._columns.get(dst_asn)
+        if column is None:
+            j = self._col[dst_asn]
+            column = self._columns[dst_asn] = RouteColumn(
+                self._index, dst_asn,
+                self.next_idx[:, j], self.via[:, j], self.lens[:, j],
+            )
+        return column
 
     def as_path(self, src_asn: int, dst_asn: int) -> tuple[int, ...] | None:
         """AS-level path from ``src_asn`` to ``dst_asn``, or None."""
-        col = self._col[dst_asn]
-        src = int(self._asn_index[src_asn])
-        if src < 0 or self.via[src, col] == VIA_NONE:
-            return None
-        path = [int(self._asn[src])]
-        node = src
-        dest = int(self._dest_idx[col])
-        while node != dest:
-            node = int(self.next_idx[node, col])
-            path.append(int(self._asn[node]))
-        return tuple(path)
+        return self.column(dst_asn).as_path(src_asn)
 
     def route(self, src_asn: int, dst_asn: int) -> BGPRoute | None:
         """The :class:`BGPRoute` installed at ``src_asn``, or None."""
-        path = self.as_path(src_asn, dst_asn)
-        if path is None:
-            return None
-        col = self._col[dst_asn]
-        src = int(self._asn_index[src_asn])
-        return BGPRoute(
-            dest=dst_asn,
-            as_path=path,
-            learned_from=_VIA_RELATIONSHIP[int(self.via[src, col])],
-        )
-
-    def routes(self, dst_asn: int) -> dict[int, BGPRoute]:
-        """Every route toward ``dst_asn`` as ``{holder ASN: BGPRoute}``.
-
-        Holders are materialized in ascending path length, so each next
-        hop's path exists before the holders that extend it.
-        """
-        col = self._col[dst_asn]
-        lens = self.lens[:, col]
-        via = self.via[:, col]
-        routed = np.nonzero(via != VIA_NONE)[0]
-        order = routed[np.argsort(lens[routed], kind="stable")].tolist()
-        asn = self._asn.tolist()
-        next_hop = self.next_idx[:, col].tolist()
-        learned = via.tolist()
-        paths: dict[int, tuple[int, ...]] = {}
-        routes: dict[int, BGPRoute] = {}
-        for i in order:
-            hop = next_hop[i]
-            path = (asn[i],) if hop == i else (asn[i], *paths[hop])
-            paths[i] = path
-            routes[asn[i]] = BGPRoute(
-                dest=dst_asn,
-                as_path=path,
-                learned_from=_VIA_RELATIONSHIP[learned[i]],
-            )
-        return routes
+        return self.column(dst_asn).route(src_asn)
 
 
-#: Default destination-block width: bounds per-block scratch to
+#: Destination-block width: bounds per-block scratch to
 #: ``O(n_as * block)`` while keeping the reductions wide enough to
 #: amortize kernel launches.
 DEFAULT_BLOCK = 128
 
 
 def converge_columns(
-    index: SolverIndex,
-    dest_idx: np.ndarray,
-    *,
-    jobs: int = 1,
-    block: int = DEFAULT_BLOCK,
+    index: SolverIndex, dest_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converge destination AS indices into ``(n_as, d)`` route tables.
 
     Returns ``(lens, next_idx, via)`` as int32/int32/int8, column ``j``
-    for ``dest_idx[j]`` (see :func:`converge_block`).  With ``jobs > 1``
-    contiguous column shards fan out over a process pool with the three
-    tables in shared memory — workers write disjoint column slices and
-    return nothing, so results are never pickled.  Every column is a
-    pure function of the schedule and its destination, so serial and
-    sharded runs are bit-identical.
+    for ``dest_idx[j]`` (see :func:`converge_block`), filled
+    :data:`DEFAULT_BLOCK` destinations at a time.  int32 is plenty: path
+    node counts top out at ``n_as + 1`` and ``SENTINEL_LEN`` still fits.
     """
     dest_idx = np.asarray(dest_idx, dtype=np.int64)
-    if jobs > 1:
-        return _converge_sharded(index, dest_idx, jobs, block)
     n, d = len(index.asn), len(dest_idx)
     lens = np.empty((n, d), dtype=np.int32)
     nxt = np.empty((n, d), dtype=np.int32)
     via = np.empty((n, d), dtype=np.int8)
-    _converge_into(index, dest_idx, lens, nxt, via, 0, d, block)
+    for lo in range(0, d, DEFAULT_BLOCK):
+        hi = min(lo + DEFAULT_BLOCK, d)
+        lens[:, lo:hi], nxt[:, lo:hi], via[:, lo:hi] = converge_block(
+            index, dest_idx[lo:hi]
+        )
     return lens, nxt, via
 
 
 def converge_all(
-    arrays: TopologyArrays,
-    dests: list[int] | None = None,
-    *,
-    jobs: int | None = None,
-    block: int = DEFAULT_BLOCK,
+    arrays: TopologyArrays, dests: list[int] | None = None
 ) -> ColumnarRouteTable:
-    """Converge ``dests`` (ASNs; default all) into one route table.
-
-    ``jobs`` shards destination blocks across :func:`converge_columns`'
-    shared-memory pool; ``jobs=None`` consults ``REPRO_ROUTING_JOBS``
-    exactly like :meth:`~repro.routing.bgp.BGPTable.converge_all`.
-    """
+    """Converge ``dests`` (ASNs; default all) into one route table."""
     asn_index = arrays.asn_index()
     if dests is None:
         dest_asns = sorted(int(a) for a in arrays.as_asn)
@@ -497,112 +495,12 @@ def converge_all(
     if len(dest_idx) and dest_idx.min() < 0:
         bad = [d for d in dest_asns if asn_index[d] < 0]
         raise ValueError(f"unknown destination ASNs: {bad}")
-    d = len(dest_idx)
-    n_jobs = resolve_routing_jobs(jobs, (d + block - 1) // block)
     with obs.span("routing.columnar.converge_all") as sp:
-        sp.set("destinations", d)
-        sp.set("jobs", n_jobs)
-        sp.set("block", block)
+        sp.set("destinations", len(dest_idx))
         index = build_solver_index(arrays.relationship_arrays())
-        lens, nxt, via = converge_columns(index, dest_idx, jobs=n_jobs, block=block)
+        lens, nxt, via = converge_columns(index, dest_idx)
     obs.count("routing.columnar.batch_convergences")
     return ColumnarRouteTable(index, dest_idx, lens, nxt, via)
-
-
-def _converge_into(
-    index: SolverIndex,
-    dest_idx: np.ndarray,
-    lens: np.ndarray,
-    nxt: np.ndarray,
-    via: np.ndarray,
-    col_lo: int,
-    col_hi: int,
-    block: int,
-) -> None:
-    """Fill table columns ``[col_lo, col_hi)`` block by block."""
-    for lo in range(col_lo, col_hi, block):
-        hi = min(lo + block, col_hi)
-        lens[:, lo:hi], nxt[:, lo:hi], via[:, lo:hi] = converge_block(
-            index, dest_idx[lo:hi]
-        )
-
-
-def _converge_shard(
-    shm_name: str,
-    shape: tuple[int, int],
-    index: SolverIndex,
-    dest_idx: np.ndarray,
-    col_lo: int,
-    col_hi: int,
-    block: int,
-) -> None:
-    """Pool-worker task: converge columns ``[col_lo, col_hi)`` in place.
-
-    Attaches the shared route table by name and writes its disjoint
-    column slice; nothing is returned, so the only inter-process traffic
-    is the (compact) solver schedule on the way in.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        lens, nxt, via = _table_views(shm, shape)
-        _converge_into(index, dest_idx, lens, nxt, via, col_lo, col_hi, block)
-    finally:
-        shm.close()
-
-
-def _table_bytes(shape: tuple[int, int]) -> int:
-    n, d = shape
-    return n * d * (4 + 4 + 1)
-
-
-def _table_views(shm, shape: tuple[int, int]):
-    """The three route-state arrays laid out back-to-back in one segment.
-
-    int32 is plenty: path-node counts top out at ``n_as + 1`` and the
-    ``SENTINEL_LEN`` marker still fits, while the full-table footprint
-    halves versus int64 — the difference between a 10k-AS all-pairs
-    table fitting in RAM comfortably or not.
-    """
-    n, d = shape
-    lens = np.ndarray((n, d), dtype=np.int32, buffer=shm.buf, offset=0)
-    nxt = np.ndarray((n, d), dtype=np.int32, buffer=shm.buf, offset=n * d * 4)
-    via = np.ndarray((n, d), dtype=np.int8, buffer=shm.buf, offset=n * d * 8)
-    return lens, nxt, via
-
-
-def _converge_sharded(
-    index: SolverIndex, dest_idx: np.ndarray, n_jobs: int, block: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fan destination-column shards across a process pool via shm."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    shape = (len(index.asn), len(dest_idx))
-    shm = shared_memory.SharedMemory(create=True, size=max(1, _table_bytes(shape)))
-    try:
-        # Contiguous column shards, one per worker.
-        bounds = np.linspace(0, shape[1], n_jobs + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(
-                    _converge_shard,
-                    shm.name, shape, index, dest_idx,
-                    int(bounds[w]), int(bounds[w + 1]), block,
-                )
-                for w in range(n_jobs)
-                if bounds[w] < bounds[w + 1]
-            ]
-            for future in futures:
-                future.result()
-        lens_v, nxt_v, via_v = _table_views(shm, shape)
-        lens, nxt, via = lens_v.copy(), nxt_v.copy(), via_v.copy()
-        del lens_v, nxt_v, via_v
-    finally:
-        shm.close()
-        shm.unlink()
-    return lens, nxt, via
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ disjoint-path availability report
 (:mod:`repro.scenario.availability`).
 
 Everything is a pure function of ``(plan, seed)``: replaying the same
-scenario yields byte-identical datasets regardless of ``--routing-jobs``
-(asserted in CI's ``whatif-replay`` step).  The clause grammar is shared
+scenario yields byte-identical datasets, traced or not (asserted in CI's
+``whatif-replay`` step).  The clause grammar is shared
 with :mod:`repro.faults.plan`; the clause registry lives in
 ``docs/SCENARIOS.md``.
 """

@@ -9,8 +9,9 @@ Two recovery channels are compared per pair:
 
 * **BGP reroute** — the network heals itself.  Reconvergence is not
   instant: BGP's MRAI timer paces advertisements, so time-to-repair is
-  estimated as ``convergence_rounds(dest) * MRAI_S`` using the fixpoint
-  oracle's round count (:meth:`repro.routing.bgp.BGPTable.convergence_rounds`).
+  estimated as ``convergence_rounds(dest) * MRAI_S``, where the round
+  count is the node count of the longest AS path in the destination's
+  stable state (:meth:`repro.routing.bgp.BGPTable.convergence_rounds`).
 * **Disjoint detour** — the overlay routes around the failure through
   another measurement host (:mod:`repro.core.altpath`).  A detour whose
   constituent hops avoid the failed adjacency fails over instantly (the
@@ -37,8 +38,8 @@ from repro.scenario.timeline import ScenarioTimeline
 from repro.topology.network import Topology
 
 #: BGP Minimum Route Advertisement Interval, seconds (RFC 4271 default).
-#: One reconvergence "round" of the fixpoint oracle corresponds to every
-#: AS re-advertising once, so rounds * MRAI_S estimates time-to-repair.
+#: One reconvergence "round" corresponds to every AS re-advertising once,
+#: so rounds * MRAI_S estimates time-to-repair.
 MRAI_S = 30.0
 
 

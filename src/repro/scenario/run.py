@@ -9,8 +9,8 @@ network.  Flap storms never touch the topology; they ride along as a
 :class:`StormFlapModel` wrapped around the ordinary route-flap process.
 
 The whole run is a pure function of ``(plan, seed)``: the same plan
-replayed with any ``--routing-jobs`` setting yields a byte-identical
-dataset (asserted by CI's ``whatif-replay`` step).
+replayed, traced or not, yields a byte-identical dataset (asserted by
+CI's ``whatif-replay`` step).
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ pristine topology (asserted route-for-route by
 AS) invalidates the BGP route cache, but the Gao–Rexford stable state is
 *unique*: a destination whose installed routes nowhere traverse the
 removed adjacency (and nowhere pass through a downed AS) keeps exactly
-the same stable state, so its converged table is salvaged across the
-mutation instead of being recomputed.  Only the affected destinations
-are reconverged — lazily, by the next
+the same stable state, so its converged route column is salvaged across
+the mutation instead of being recomputed.  Only the affected
+destinations are reconverged — lazily, by the next
 :meth:`~repro.routing.bgp.BGPTable.converge_all` — under the
 ``scenario.reconverge`` span.  Clearing ``topo.routing_cache("bgp")``
 after :meth:`ScenarioTimeline.advance_to` forces full reconvergence;
@@ -36,8 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.obs import runtime as obs
-from repro.routing.bgp import BGPRoute
+from repro.routing.columnar import VIA_NONE, RouteColumn
 from repro.scenario.plan import (
     KIND_DEPEER,
     KIND_LINK_DOWN,
@@ -397,36 +399,34 @@ class ScenarioTimeline:
 
     def _salvage(
         self,
-        saved: dict[int, dict[int, BGPRoute]],
+        saved: dict[int, RouteColumn],
         removed_pairs: set[frozenset[int]],
         removed_asns: set[int],
         additive: bool,
     ) -> None:
-        """Restore converged tables the mutation provably did not touch.
+        """Restore converged columns the mutation provably did not touch.
 
-        ``saved`` is the pre-mutation BGP route store (dest -> holder ->
-        route).  After any additive change (new capacity can improve
+        ``saved`` is the pre-mutation BGP route store (dest -> route
+        column).  After any additive change (new capacity can improve
         routes anywhere) nothing is salvaged and every destination
         reconverges.
         """
         if additive:
             return
         with obs.span("scenario.reconverge") as sp:
-            keep: dict[int, dict[int, BGPRoute]] = {}
+            keep: dict[int, RouteColumn] = {}
             invalidated = 0
-            for dest, table in saved.items():
-                if self._dest_affected(dest, table, removed_pairs, removed_asns):
+            for dest, column in saved.items():
+                removed = np.zeros(len(column.via), dtype=bool)
+                removed[[column.index.index_of(asn) for asn in removed_asns]] = True
+                if self._dest_affected(column, removed, removed_pairs):
                     invalidated += 1
                     continue
                 if removed_asns:
-                    # Isolated ASes lose their own entries even in
-                    # unaffected tables (they no longer hold routes).
-                    table = {
-                        holder: route
-                        for holder, route in table.items()
-                        if holder not in removed_asns
-                    }
-                keep[dest] = table
+                    # Isolated ASes lose their own routes even in
+                    # unaffected columns (they no longer hold routes).
+                    column = column.without(removed)
+                keep[dest] = column
             self._topo.routing_cache("bgp")["routes"] = keep
             sp.set("retained", len(keep))
             sp.set("invalidated", invalidated)
@@ -435,29 +435,30 @@ class ScenarioTimeline:
 
     @staticmethod
     def _dest_affected(
-        dest: int,
-        table: dict[int, BGPRoute],
+        column: RouteColumn,
+        removed: np.ndarray,
         removed_pairs: set[frozenset[int]],
-        removed_asns: set[int],
     ) -> bool:
         """Whether a destination's stable state can change.
 
         The Gao–Rexford stable state is unique; removing an adjacency
         (or isolating an AS) only shrinks candidate sets, so a
         destination is unaffected exactly when no installed route at a
-        surviving AS traverses what was removed.
+        surviving AS traverses what was removed.  The first removed AS
+        or adjacency on any such path sits one hop after a surviving
+        routed holder, so the next-hop column decides: the destination
+        is affected when it was removed itself, or when a routed holder
+        ``h`` outside the removed ASes (``removed``, a mask by AS index)
+        has its next hop removed or ``{h, next(h)}`` among
+        ``removed_pairs``.
         """
-        if dest in removed_asns:
+        index = column.index
+        nxt = column.next_idx
+        live = (column.via != VIA_NONE) & ~removed
+        if removed[index.index_of(column.dest)] or (live & removed[nxt]).any():
             return True
-        for holder, route in table.items():
-            if holder in removed_asns:
-                continue  # the isolated AS's own entries are just dropped
-            path = route.as_path
-            if removed_asns and any(asn in removed_asns for asn in path):
-                return True
-            if removed_pairs and any(
-                frozenset(pair) in removed_pairs
-                for pair in zip(path, path[1:])
-            ):
+        for pair in removed_pairs:
+            a, b = (index.index_of(asn) for asn in pair)
+            if (live[a] and nxt[a] == b) or (live[b] and nxt[b] == a):
                 return True
         return False

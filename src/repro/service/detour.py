@@ -39,8 +39,8 @@ strategy call plus table lookups.
 
 Every random stream derives from the master seed via distinct tuple
 tags, so the same (plan, seed, strategy) replays byte-identically
-regardless of request count, strategy order, ``--routing-jobs``, or
-wall-clock speed.
+regardless of request count, strategy order, tracing, or wall-clock
+speed.
 """
 
 from __future__ import annotations

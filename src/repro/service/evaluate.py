@@ -10,7 +10,7 @@ much of the oracle detour gain (the offline best alternate the paper
 computes post hoc) each online strategy actually recovered.
 
 The table is a pure function of (plan, seed, strategies): CI replays it
-byte-identically across runs and ``--routing-jobs`` settings.  Wall-clock
+byte-identically across runs, traced or not.  Wall-clock
 throughput (queries/sec) is reported separately and never enters the
 table.
 """

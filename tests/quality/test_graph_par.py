@@ -275,7 +275,6 @@ def test_initializer_checked_for_par001_but_exempt_from_par003(
 def test_real_repo_pool_sites_are_found(make_tree_factory):
     model = build_project_model(REPO_ROOT)
     modules_with_sites = {site.module for site in find_submit_sites(model)}
-    assert "repro.routing.columnar" in modules_with_sites
     assert "repro.faults.supervisor" in modules_with_sites
 
 

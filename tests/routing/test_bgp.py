@@ -7,6 +7,8 @@ from repro.topology.asys import ASLink, ASTier, AutonomousSystem, Relationship
 from repro.topology.geography import get_city
 from repro.topology.network import Topology
 
+from tests.routing.oracles import preference_key
+
 
 def _line_topology(rels: list[Relationship]) -> Topology:
     """AS chain 1-2-...-n with given relationships (rel of i+1 from i)."""
@@ -98,10 +100,10 @@ def test_shorter_as_path_wins_within_class():
 def test_route_preference_key_ordering():
     better = BGPRoute(dest=9, as_path=(1, 9), learned_from=Relationship.CUSTOMER)
     worse = BGPRoute(dest=9, as_path=(1, 9), learned_from=Relationship.PROVIDER)
-    assert better.preference_key() < worse.preference_key()
+    assert preference_key(better) < preference_key(worse)
     shorter = BGPRoute(dest=9, as_path=(1, 9), learned_from=Relationship.PEER)
     longer = BGPRoute(dest=9, as_path=(1, 5, 9), learned_from=Relationship.PEER)
-    assert shorter.preference_key() < longer.preference_key()
+    assert preference_key(shorter) < preference_key(longer)
 
 
 def test_unknown_destination_raises(topo1999):

@@ -2,27 +2,27 @@
 
 :class:`BGPTable` runs the three-stage Gao-Rexford kernels; it must be
 *route-for-route identical* to the synchronous fixpoint relaxation
-(:func:`converge_fixpoint`) — same reachability, same AS paths, same
-learned-from classes, same tie-breaks — on every topology the generator
-can produce.  These tests converge every destination on generated
-topologies across seeds and eras and on random hierarchies and compare
-the full route tables, plus the structural refusals (siblings,
-customer-provider cycles) and the batch API's serial/parallel identity.
+(:func:`tests.routing.oracles.converge_fixpoint`) — same reachability,
+same AS paths, same learned-from classes, same tie-breaks — on every
+topology the generator can produce.  These tests converge every
+destination on generated topologies across seeds and eras and on random
+hierarchies and compare the full route tables, plus the structural
+refusals (siblings, customer-provider cycles), the batch API's
+batch/lazy identity and the answers for source ASNs the topology lacks.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.bgp import BGPTable, converge_fixpoint
-from repro.routing.columnar import (
-    ROUTING_JOBS_ENV_VAR,
-    BGPError,
-    resolve_routing_jobs,
-)
+from repro.routing.bgp import BGPTable
+from repro.routing.columnar import BGPError, converge_all
 from repro.topology import TopologyConfig, generate_topology
 from repro.topology.asys import ASLink, ASTier, AutonomousSystem, Relationship
+from repro.topology.columnar import from_topology
 from repro.topology.geography import get_city
 from repro.topology.network import Topology
+
+from tests.routing.oracles import converge_fixpoint
 
 
 def _gadget(n: int, links: list[tuple[int, int, Relationship]]) -> Topology:
@@ -188,17 +188,13 @@ def test_converge_all_serial_parallel_and_lazy_identical():
     # Distinct topology instances so the shared per-topology route cache
     # cannot make the comparison vacuous (the generator is deterministic).
     topo_serial = generate_topology(cfg)
-    topo_parallel = generate_topology(cfg)
     topo_lazy = generate_topology(cfg)
     serial = BGPTable(topo_serial)
-    parallel = BGPTable(topo_parallel)
     lazy = BGPTable(topo_lazy)
-    serial.converge_all(jobs=1)
-    parallel.converge_all(jobs=2)
+    serial.converge_all()
     for dest in sorted(topo_serial.ases):
         for asn in sorted(topo_serial.ases):
             s = serial.route(asn, dest)
-            assert s == parallel.route(asn, dest), f"AS{asn}->AS{dest}"
             assert s == lazy.route(asn, dest), f"AS{asn}->AS{dest}"
 
 
@@ -212,19 +208,21 @@ def test_converge_all_subset_and_idempotence():
         assert table.route(d, d) is not None
 
 
-def test_resolve_routing_jobs(monkeypatch):
-    monkeypatch.delenv(ROUTING_JOBS_ENV_VAR, raising=False)
-    assert resolve_routing_jobs(None, 10) == 1       # default: serial
-    assert resolve_routing_jobs(4, 10) == 4
-    assert resolve_routing_jobs(16, 10) == 10        # clamped to tasks
-    assert resolve_routing_jobs(0, 10) == 1          # floor of 1
-    assert resolve_routing_jobs(8, 0) == 1           # nothing to do
-    monkeypatch.setenv(ROUTING_JOBS_ENV_VAR, "3")
-    assert resolve_routing_jobs(None, 10) == 3
-    assert resolve_routing_jobs(2, 10) == 2          # explicit arg wins
-    monkeypatch.setenv(ROUTING_JOBS_ENV_VAR, "lots")
-    with pytest.raises(ValueError, match=ROUTING_JOBS_ENV_VAR):
-        resolve_routing_jobs(None, 10)
+def test_unknown_source_asns_have_no_route():
+    # A negative ASN must not wrap around the dense ASN lookup onto the
+    # highest AS, and one past the end must not raise.
+    topo = generate_topology(TopologyConfig.for_era("1999", seed=1999))
+    dest = min(topo.ases)
+    unknown = [-1, 0, max(topo.ases) + 1, 10**6]
+    assert all(asn not in topo.ases for asn in unknown)
+    columnar = converge_all(from_topology(topo), [dest])
+    table = BGPTable(topo)
+    for src in unknown:
+        assert columnar.as_path(src, dest) is None, src
+        assert columnar.route(src, dest) is None, src
+        assert table.as_path(src, dest) is None, src
+        assert table.route(src, dest) is None, src
+    assert columnar.as_path(max(topo.ases), dest) is not None
 
 
 def test_shared_route_cache_reused_and_invalidated():

@@ -7,10 +7,12 @@ multihoming) exercised against our decision/export implementation.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.bgp import BGPTable, converge_fixpoint
+from repro.routing.bgp import BGPTable
 from repro.topology.asys import ASLink, ASTier, AutonomousSystem, Relationship
 from repro.topology.geography import get_city
 from repro.topology.network import Topology
+
+from tests.routing.oracles import converge_fixpoint
 
 
 def _topo(n: int, links: list[tuple[int, int, Relationship]]) -> Topology:

@@ -8,7 +8,6 @@ from repro.datasets.io import save_dataset
 from repro.measurement.collector import Campaign
 from repro.netsim.conditions import BUCKET_SECONDS, NetworkConditions
 from repro.netsim.dynamics import DynamicPathSampler
-from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.routing.forwarding import ForwardingError, PathResolver
 from repro.scenario.plan import ScenarioPlan
 from repro.scenario.run import ScenarioRun, StormFlapModel
@@ -69,22 +68,17 @@ def _small_plan(seed):
     return f"link-down:{al.a}-{al.b}:at=300:for=300"
 
 
-def test_replay_is_byte_identical_across_jobs(tmp_path, monkeypatch):
+def test_replay_is_byte_identical_across_jobs(tmp_path):
     spec = _small_plan(11)
     blobs = []
-    for jobs in (None, None, "2"):
-        if jobs is None:
-            monkeypatch.delenv(ROUTING_JOBS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(ROUTING_JOBS_ENV_VAR, jobs)
+    for _ in range(2):
         run = ScenarioRun(ScenarioPlan.parse(spec), seed=11, n_hosts=6)
         dataset, report = run.execute()
         path = tmp_path / f"whatif-{len(blobs)}.jsonl"
         save_dataset(dataset, path)
         blobs.append(path.read_bytes())
         assert not report.permanently_disconnected
-    monkeypatch.delenv(ROUTING_JOBS_ENV_VAR, raising=False)
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
 
 
 def test_node_down_disconnects_pairs_and_records_nan_rows():

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.routing.columnar import ROUTING_JOBS_ENV_VAR
 from repro.scenario.plan import ScenarioPlan
 from repro.service import (
     DetourService,
@@ -53,22 +52,17 @@ def test_rerun_replays_byte_identically(calm_service):
     assert evaluate_strategies(fresh, ("lowest-latency",)).render() == reused
 
 
-def test_replay_is_byte_identical_across_routing_jobs(monkeypatch):
+def test_replay_is_byte_identical_across_routing_jobs():
     plan = ScenarioPlan.parse(OUTAGE_SPEC)
     tables = []
-    for jobs in (None, None, "2"):
-        if jobs is None:
-            monkeypatch.delenv(ROUTING_JOBS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(ROUTING_JOBS_ENV_VAR, jobs)
+    for _ in range(2):
         service = DetourService(
             plan, seed=11, n_hosts=8, n_pairs=2, duration_s=1500.0
         )
         tables.append(
             evaluate_strategies(service, ("lowest-latency",)).render()
         )
-    monkeypatch.delenv(ROUTING_JOBS_ENV_VAR, raising=False)
-    assert tables[0] == tables[1] == tables[2]
+    assert tables[0] == tables[1]
 
 
 def test_scenario_outage_drives_reactive_failover():

@@ -6,11 +6,9 @@ the object model it mirrors:
 - ``from_topology`` → ``to_topology`` must round-trip **byte-identically**
   (compared via pickle) across seeds, eras, and host placement;
 - routes converged on the arrays must be route-for-route identical to
-  the fixpoint oracle (:func:`~repro.routing.bgp.converge_fixpoint`) on
-  the object model, including on scale-generated topologies converted
-  back to objects;
-- sharded shared-memory convergence must equal the serial arrays bit
-  for bit;
+  the fixpoint oracle (:func:`tests.routing.oracles.converge_fixpoint`)
+  on the object model, including on scale-generated topologies
+  converted back to objects;
 - the CSR IGP matrix must reproduce every
   :class:`~repro.routing.igp.IGPTable` cost;
 - streamed datasets must be byte-identical to in-memory builds; and
@@ -35,7 +33,7 @@ from repro.datasets.stream import (
     load_route_summaries,
     write_route_summaries,
 )
-from repro.routing.bgp import BGPTable, converge_fixpoint
+from repro.routing.bgp import BGPTable
 from repro.routing.columnar import (
     BGPError,
     build_solver_index,
@@ -49,6 +47,7 @@ from repro.topology.generator import place_hosts
 from repro.topology.scale import ScaleError, generate_topology_arrays, resolve_preset
 from repro.topology.asys import Relationship
 
+from tests.routing.oracles import converge_fixpoint
 from tests.routing.test_bgp_equivalence import _gadget
 
 SEEDS = [3, 11, 1999]
@@ -107,7 +106,7 @@ def test_relationship_index_matches_arrays(era):
 
 
 def _assert_routes_match(topo, arrays, dests, srcs=None):
-    table = converge_all(arrays, dests, jobs=1)
+    table = converge_all(arrays, dests)
     for dest in dests:
         oracle, _rounds = converge_fixpoint(topo, dest)
         for asn in srcs or sorted(topo.ases):
@@ -134,17 +133,6 @@ def test_scale_generated_routes_match_object_oracle():
     )
     srcs = sorted(int(a) for a in rng.choice(arrays.as_asn, size=64, replace=False))
     _assert_routes_match(topo, arrays, dests, srcs)
-
-
-@pytest.mark.parametrize("seed", [3, 1999])
-def test_sharded_convergence_equals_serial(seed):
-    arrays = from_topology(_topo("1999", seed))
-    dests = [int(a) for a in arrays.as_asn]
-    serial = converge_all(arrays, dests, jobs=1)
-    sharded = converge_all(arrays, dests, jobs=2, block=16)
-    assert np.array_equal(serial.lens, sharded.lens)
-    assert np.array_equal(serial.next_idx, sharded.next_idx)
-    assert np.array_equal(serial.via, sharded.via)
 
 
 def test_siblings_are_unsupported():
