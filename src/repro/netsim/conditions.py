@@ -10,7 +10,9 @@ probes of different paths see the *same* congestion state on shared links.
 
 :class:`PathSampler` layers per-path aggregation on top: given round-trip
 paths (sequences of link ids), it samples probe RTTs and losses for many
-paths at once.
+paths at once.  A probe batch evaluates the per-link state of all its
+buckets in one 2-D pass and sums it over only the (bucket, path) pairs
+it probes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.netsim.congestion import (
 )
 from repro.netsim.diurnal import load_multiplier_array
 from repro.netsim.clock import solar_offset_hours
+from repro.obs import runtime as obs
 from repro.topology.network import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,6 +78,13 @@ CHRONIC_LOSS_RANGE = (0.005, 0.03)
 #: block consumes the identical generator stream as ``n`` scalar probes —
 #: the invariant behind the batched/scalar differential tests.
 DRAWS_PER_PROBE = 4
+
+#: Memory ceiling for one chunk of a probe gather.  A bucket costs one
+#: float64 per link (its row of per-link state) plus one per link of every
+#: path the sampler holds (its worst-case pair gather), and a gather takes
+#: as many buckets at a time as fit.  At 8 MiB that is 8 buckets of the
+#: 54-host UW3 prescan (1,266 links, 2,862 round trips of 127,022 links).
+_GATHER_CHUNK_CAP_BYTES = 8 * 1024 * 1024
 
 
 # hotpath
@@ -149,25 +159,54 @@ class NetworkConditions:
         self._bucket_cache[bucket] = (util_noise, queue_factor)
         return util_noise, queue_factor
 
-    # -- public queries ------------------------------------------------------
+    # -- the per-link state formula -----------------------------------------
 
-    def utilization(self, t: float) -> np.ndarray:
-        """Per-link utilization at time ``t`` (array of length n_links)."""
-        bucket = int(t // BUCKET_SECONDS)
-        util_noise, _ = self._bucket_noise(bucket)
-        mult = load_multiplier_array(t, self.utc_offsets)
-        return np.clip(
+    # hotpath
+    def _link_rows(
+        self, ts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-link (utilization, queuing delay, loss probability) rows.
+
+        Row ``r`` holds every link's state at time ``ts[r]`` under that
+        time's bucket noise.  This is the only copy of the per-link
+        formula.  The blocks are C-contiguous (times, links) arrays, so
+        each elementwise ufunc runs the inner loop a 1-D array of one
+        time would, and every row equals a one-time query bit for bit.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        noise = [self._bucket_noise(int(t // BUCKET_SECONDS)) for t in ts.tolist()]
+        util_noise = np.stack([u for u, _ in noise])
+        queue_factor = np.stack([q for _, q in noise])
+        mult = load_multiplier_array(ts[:, None], self.utc_offsets)
+        util = np.clip(
             self.base_utilization * mult * util_noise,
             MIN_UTILIZATION,
             MAX_UTILIZATION,
         )
+        queue = mean_queue_delay_ms_array(util, self.queue_scale_ms) * queue_factor
+        congestion = loss_probability_array(util)
+        loss = 1.0 - (1.0 - congestion) * (1.0 - self.chronic_loss)
+        return util, queue, loss
+
+    # hotpath
+    def state_rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-link queuing delay and log-survival, one row per time.
+
+        Log-survival is ``log1p(-loss)``; summed over a path's links it is
+        the log of the probability that a probe survives them all.
+        """
+        _, queue, loss = self._link_rows(ts)
+        return queue, np.log1p(-loss)
+
+    # -- public queries ------------------------------------------------------
+
+    def utilization(self, t: float) -> np.ndarray:
+        """Per-link utilization at time ``t`` (array of length n_links)."""
+        return self._link_rows(np.array([t]))[0][0]
 
     def queue_delay_ms(self, t: float) -> np.ndarray:
         """Per-link instantaneous queuing delay at time ``t``, in ms."""
-        bucket = int(t // BUCKET_SECONDS)
-        _, queue_factor = self._bucket_noise(bucket)
-        mean_q = mean_queue_delay_ms_array(self.utilization(t), self.queue_scale_ms)
-        return mean_q * queue_factor
+        return self._link_rows(np.array([t]))[1][0]
 
     def loss_probability(self, t: float) -> np.ndarray:
         """Per-link loss probability at time ``t``.
@@ -175,15 +214,15 @@ class NetworkConditions:
         Combines congestion loss (utilization-driven) with each link's
         chronic loss floor, assuming independence.
         """
-        congestion = loss_probability_array(self.utilization(t))
-        return 1.0 - (1.0 - congestion) * (1.0 - self.chronic_loss)
+        return self._link_rows(np.array([t]))[2][0]
 
     def link_state(self, link_id: int, t: float) -> dict[str, float]:
         """Convenience single-link snapshot (utilization, queue, loss)."""
+        util, queue, loss = self._link_rows(np.array([t]))
         return {
-            "utilization": float(self.utilization(t)[link_id]),
-            "queue_delay_ms": float(self.queue_delay_ms(t)[link_id]),
-            "loss_probability": float(self.loss_probability(t)[link_id]),
+            "utilization": float(util[0, link_id]),
+            "queue_delay_ms": float(queue[0, link_id]),
+            "loss_probability": float(loss[0, link_id]),
         }
 
 
@@ -244,15 +283,22 @@ class ProbeBatch:
 
 
 class BucketProbeMixin:
-    """Bucket-frozen probing fast path shared by path samplers.
+    """Bucket-frozen probing shared by path samplers.
 
-    Subclasses provide ``view(t)`` (exact-time congestion state) and
-    ``__len__``; the mixin adds a bounded per-bucket view cache plus the
-    scalar and batched probe entry points built on it.  Congestion is
-    already frozen per :data:`BUCKET_SECONDS` bucket, so evaluating each
-    bucket's view once (at mid-bucket, where the collector has always
-    taken it) and reusing it turns per-probe cost into a dict lookup and
-    a few vectorized draws.
+    Congestion is frozen per :data:`BUCKET_SECONDS` bucket, so every probe
+    sees its bucket's mid-bucket state (where the collector has always
+    taken it).  Subclasses provide ``__len__``, ``view(t)`` (exact-time
+    state of every path), ``_pair_state`` (mid-bucket state of chosen
+    (bucket, path) pairs only) and ``_bucket_bytes`` (the worst-case
+    gather cost of one bucket).  On top of them the mixin offers two ways
+    in:
+
+    * ``bucket_view``/``probe`` build a bucket's full view and keep it in
+      a bounded per-sampler cache, for callers that read every path of a
+      bucket (the Detour service's candidate tables);
+    * ``gather_bucket_state``/``probe_batch`` take a cached view where the
+      sampler holds one and otherwise sum only the pairs a batch probes;
+      they never build a view.
     """
 
     _MAX_CACHED_VIEWS = 256
@@ -294,27 +340,73 @@ class BucketProbeMixin:
     def gather_bucket_state(
         self, ts: np.ndarray, indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-probe (prop, qsum, ploss) taken from each time's bucket view.
+        """Per-probe (prop, qsum, ploss) of each time's mid-bucket state.
 
-        ``ts`` and ``indices`` align element-wise; views are computed once
-        per distinct bucket.  Consumes no randomness.
+        ``ts`` and ``indices`` align element-wise.  Probes in a bucket
+        whose full view this sampler already caches read that view; for
+        the other buckets ``_pair_state`` sums each distinct
+        (bucket, path) pair once, a chunk of buckets at a time under
+        :data:`_GATHER_CHUNK_CAP_BYTES`.  Equal bit for bit to indexing
+        :meth:`bucket_view` per probe, yet builds no view and consumes no
+        randomness.
+
+        Raises:
+            ValueError: if ``ts`` and ``indices`` do not align.
+            IndexError: if an index is not a path of this sampler.
         """
         ts = np.asarray(ts, dtype=np.float64)
         idx = np.asarray(indices, dtype=np.int64)
         if ts.shape != idx.shape:
             raise ValueError("ts and indices must align")
-        n = len(ts)
-        prop = np.empty(n)
-        qsum = np.empty(n)
-        ploss = np.empty(n)
-        buckets = (ts // BUCKET_SECONDS).astype(np.int64)
-        for bucket in np.unique(buckets):
-            sel = buckets == bucket
-            view = self.bucket_view(float(bucket) * BUCKET_SECONDS)
-            pidx = idx[sel]
-            prop[sel] = view.prop[pidx]
-            qsum[sel] = view.qsum[pidx]
-            ploss[sel] = view.ploss[pidx]
+        n_paths = len(self)
+        with obs.span("netsim.gather") as sp:
+            sp.set("probes", len(idx))
+            if len(idx) and (idx.min() < 0 or idx.max() >= n_paths):
+                raise IndexError(f"path indices must lie in [0, {n_paths})")
+            prop = np.empty(len(idx))
+            qsum = np.empty(len(idx))
+            ploss = np.empty(len(idx))
+            buckets = (ts // BUCKET_SECONDS).astype(np.int64)
+            distinct = np.unique(buckets)
+            cache = getattr(self, "_bucket_views", None) or {}
+            views = {b: cache.get(b) for b in distinct.tolist()}
+            todo = np.ones(len(idx), dtype=bool)
+            for bucket, view in views.items():
+                if view is not None:
+                    sel = buckets == bucket
+                    todo[sel] = False
+                    at = idx[sel]
+                    prop[sel] = view.prop[at]
+                    qsum[sel] = view.qsum[at]
+                    ploss[sel] = view.ploss[at]
+            missed = distinct[[view is None for view in views.values()]]
+            n_pairs = 0
+            if len(missed):
+                # Distinct (bucket row, path) pairs of the probes left,
+                # sorted by row, so a chunk of buckets is a run of pairs.
+                sel = np.flatnonzero(todo)
+                keys, inverse = np.unique(
+                    np.searchsorted(missed, buckets[sel]) * n_paths + idx[sel],
+                    return_inverse=True,
+                )
+                rows, paths = np.divmod(keys, n_paths)
+                mids = (missed + 0.5) * BUCKET_SECONDS
+                n_pairs = len(keys)
+                pair = np.empty((3, n_pairs))
+                step = max(1, _GATHER_CHUNK_CAP_BYTES // self._bucket_bytes)
+                cuts = np.searchsorted(rows, np.arange(0, len(mids) + step, step))
+                for first, lo, hi in zip(
+                    range(0, len(mids), step), cuts.tolist(), cuts[1:].tolist()
+                ):
+                    pair[:, lo:hi] = self._pair_state(
+                        mids[first : first + step], rows[lo:hi] - first, paths[lo:hi]
+                    )
+                prop[sel], qsum[sel], ploss[sel] = pair[:, inverse]
+            sp.set("buckets", len(distinct))
+            sp.set("pairs", n_pairs)
+            sp.set("view_hits", len(distinct) - len(missed))
+        obs.count("netsim.pair_states", n_pairs)
+        obs.count("netsim.view_hits", len(distinct) - len(missed))
         return prop, qsum, ploss
 
     # hotpath
@@ -350,11 +442,18 @@ class PathSampler(BucketProbeMixin):
     def __init__(
         self, conditions: NetworkConditions, paths: "list[RoundTripPath]"
     ) -> None:
+        """
+        Raises:
+            ValueError: if a round trip has no links (its sum would read
+                the next path's first link).
+        """
         self._cond = conditions
         self.paths = list(paths)
         flat: list[int] = []
         offsets: list[int] = [0]
-        for rt in self.paths:
+        for i, rt in enumerate(self.paths):
+            if not rt.link_ids:
+                raise ValueError(f"round trip {i} has no links")
             flat.extend(rt.link_ids)
             offsets.append(len(flat))
         self._flat = np.array(flat, dtype=np.int64)
@@ -362,21 +461,46 @@ class PathSampler(BucketProbeMixin):
         self._prop = np.array(
             [rt.rtt_prop_ms for rt in self.paths]
         )
+        self._bucket_bytes = 8 * (conditions.n_links + len(flat))
 
     def __len__(self) -> int:
         return len(self.paths)
 
     # hotpath
-    def _path_sums(self, per_link: np.ndarray) -> np.ndarray:
-        """Sum a per-link quantity over each path's links."""
-        if len(self._flat) == 0:
-            return np.zeros(len(self.paths))
-        gathered = per_link[self._flat]
-        return np.add.reduceat(gathered, self._offsets[:-1])
+    def _pair_sums(
+        self,
+        state: tuple[np.ndarray, np.ndarray],
+        rows: np.ndarray,
+        paths: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(prop, qsum, ploss) of path ``paths[k]`` under row ``rows[k]``.
+
+        ``state`` is a (queue, log-survival) pair of row blocks from
+        :meth:`NetworkConditions.state_rows`.  Each pair's links are
+        gathered in CSR order into a segment of its own, so ``reduceat``
+        adds the same values in the same order as a sum over every path.
+        """
+        if not len(paths):
+            return np.empty(0), np.empty(0), np.empty(0)
+        queue, log_survive = state
+        first = self._offsets[paths]
+        lens = self._offsets[paths + 1] - first
+        seg = np.cumsum(lens) - lens
+        at = np.arange(seg[-1] + lens[-1]) + np.repeat(first - seg, lens)
+        cells = np.repeat(rows * queue.shape[1], lens) + self._flat[at]
+        qsum = np.add.reduceat(queue.take(cells), seg)
+        ploss = 1.0 - np.exp(np.add.reduceat(log_survive.take(cells), seg))
+        return self._prop[paths], qsum, ploss
+
+    def _pair_state(
+        self, mids: np.ndarray, rows: np.ndarray, paths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mid-bucket state of path ``paths[k]`` in the bucket of ``mids[rows[k]]``."""
+        return self._pair_sums(self._cond.state_rows(mids), rows, paths)
 
     def queue_delay_sums(self, t: float) -> np.ndarray:
         """Per-path total queuing delay (both directions) at time ``t``."""
-        return self._path_sums(self._cond.queue_delay_ms(t))
+        return self.view(t).qsum
 
     def loss_probabilities(self, t: float) -> np.ndarray:
         """Per-path round-trip loss probability at time ``t``.
@@ -384,9 +508,7 @@ class PathSampler(BucketProbeMixin):
         Per-link losses are independent; a probe survives only if it
         survives every link in both directions.
         """
-        per_link = self._cond.loss_probability(t)
-        log_survive = self._path_sums(np.log1p(-per_link))
-        return 1.0 - np.exp(log_survive)
+        return self.view(t).ploss
 
     def prop_delays(self) -> np.ndarray:
         """Per-path round-trip propagation delay (static)."""
@@ -394,9 +516,10 @@ class PathSampler(BucketProbeMixin):
 
     def view(self, t: float) -> SamplerView:
         """Capture the exact-time congestion state for all paths."""
-        return SamplerView(
-            t=t,
-            prop=self._prop,
-            qsum=self.queue_delay_sums(t),
-            ploss=self.loss_probabilities(t),
+        n = len(self.paths)
+        _, qsum, ploss = self._pair_sums(
+            self._cond.state_rows(np.array([t])),
+            np.zeros(n, dtype=np.int64),
+            np.arange(n),
         )
+        return SamplerView(t=t, prop=self._prop, qsum=qsum, ploss=ploss)

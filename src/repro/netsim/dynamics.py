@@ -36,16 +36,18 @@ class DynamicPathSampler(BucketProbeMixin):
     two underlying samplers (primary and secondary paths, index-aligned)
     and consults the flap model per (pair, time).  The flap decisions are
     pure functions of (pair, window), so the per-window secondary masks
-    and the flappy-pair set are computed once and cached; blended bucket
-    views come from the shared :class:`BucketProbeMixin` cache.
+    and the flappy-pair set are computed once and cached.  A probe batch
+    reads each probed pair's active route in its bucket's window and asks
+    the primary or the secondary sampler for just those pairs; a full
+    blended view is built only by :meth:`bucket_view`.
 
-    Correctness of both caches requires the flap window to be a whole
-    multiple of the congestion bucket — otherwise a bucket view straddles
-    a route change and probes silently sample the wrong route.  The
-    window length is read from the model's ``window_s`` attribute
-    (default :data:`FLAP_WINDOW_S`) and validated at construction; a
-    scenario whose ``for=`` durations imply a misaligned window is
-    rejected here with a clear error instead of mis-bucketing.
+    Correctness requires the flap window to be a whole multiple of the
+    congestion bucket — otherwise a bucket straddles a route change and
+    probes silently sample the wrong route.  The window length is read
+    from the model's ``window_s`` attribute (default
+    :data:`FLAP_WINDOW_S`) and validated at construction; a scenario
+    whose ``for=`` durations imply a misaligned window is rejected here
+    with a clear error instead of mis-bucketing.
     """
 
     def __init__(
@@ -65,8 +67,12 @@ class DynamicPathSampler(BucketProbeMixin):
                 "a bucket must never straddle a route change"
             )
         self._window_s = window_s
+        self._cond = conditions
         self._primary = PathSampler(conditions, primaries)
         self._secondary = PathSampler(conditions, secondaries)
+        self._bucket_bytes = (
+            self._primary._bucket_bytes + self._secondary._bucket_bytes
+        )
         self.flap_model = flap_model
         self._flappy: np.ndarray | None = None
         self._mask_cache: dict[int, np.ndarray] = {}
@@ -92,6 +98,30 @@ class DynamicPathSampler(BucketProbeMixin):
                 mask[i] = self.flap_model.on_secondary(int(i), window_t)
             self._mask_cache[window] = mask
         return mask
+
+    # hotpath
+    def _pair_state(
+        self, mids: np.ndarray, rows: np.ndarray, paths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair's mid-bucket state on the route active in its window.
+
+        The per-link rows are computed once and summed by whichever
+        sampler holds each pair's active route.
+        """
+        state = self._cond.state_rows(mids)
+        masks = np.stack([self._active_mask(t) for t in mids.tolist()])
+        sec = masks[rows, paths]
+        pri = ~sec
+        prop = np.empty(len(paths))
+        qsum = np.empty(len(paths))
+        ploss = np.empty(len(paths))
+        prop[pri], qsum[pri], ploss[pri] = self._primary._pair_sums(
+            state, rows[pri], paths[pri]
+        )
+        prop[sec], qsum[sec], ploss[sec] = self._secondary._pair_sums(
+            state, rows[sec], paths[sec]
+        )
+        return prop, qsum, ploss
 
     def prop_delays(self) -> np.ndarray:
         """Primary-route propagation delays (static reference)."""

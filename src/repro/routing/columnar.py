@@ -417,17 +417,11 @@ class ColumnarRouteTable:
         via: np.ndarray,
     ) -> None:
         self._index = index
-        self._dest_idx = dest_idx
         self._col = {int(index.asn[d]): j for j, d in enumerate(dest_idx)}
         self._columns: dict[int, RouteColumn] = {}
         self.lens = lens
         self.next_idx = nxt
         self.via = via
-
-    @property
-    def dest_asns(self) -> list[int]:
-        """Destination ASNs, in table column order."""
-        return [int(self._index.asn[d]) for d in self._dest_idx]
 
     def column(self, dst_asn: int) -> RouteColumn:
         """The route column of destination ``dst_asn``.

@@ -22,7 +22,7 @@ simulator decides what probes experience on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,18 @@ class RouteFlapModel:
         flap_probability: Per-window probability that a flappy pair sits
             on its secondary route.
         seed: Hash seed (reproducibility).
+
+    Flappiness is a pure function of (seed, pair), so each pair's answer
+    is hashed once and remembered: every sampler sharing the model (a
+    scenario builds one per topology segment) reads the same answers.
     """
 
     flappy_fraction: float = 0.2
     flap_probability: float = 0.08
     seed: int = 0
+    _flappy: dict[int, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.flappy_fraction <= 1.0:
@@ -72,7 +79,11 @@ class RouteFlapModel:
 
     def is_flappy(self, pair_index: int) -> bool:
         """Whether this pair ever leaves its primary route."""
-        return self._hash01(pair_index) < self.flappy_fraction
+        flappy = self._flappy.get(pair_index)
+        if flappy is None:
+            flappy = self._hash01(pair_index) < self.flappy_fraction
+            self._flappy[pair_index] = flappy
+        return flappy
 
     def on_secondary(self, pair_index: int, t: float) -> bool:
         """Whether the pair uses its secondary route at time ``t``."""

@@ -100,7 +100,13 @@ def test_trace_covers_all_instrumented_subsystems(
     trace = RunTrace.from_capture(cap, META)
     covered = set(trace.subsystems())
     assert {
-        "topology", "routing", "datasets", "core", "service", "experiments"
+        "topology",
+        "routing",
+        "netsim",
+        "datasets",
+        "core",
+        "service",
+        "experiments",
     } <= covered
     counters = trace.metrics.get("counters", {})
     assert counters.get("datasets.builds", 0) > 0
