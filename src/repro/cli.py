@@ -257,6 +257,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core import LossComposition, Metric, analyze, analyze_bandwidth
+    from repro.core.graph import GraphError
     from repro.datasets import DatasetIOError, load_dataset
     from repro.viz import ascii_cdf
 
@@ -271,12 +272,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"unreadable dataset: {exc}", file=sys.stderr)
         return 2
     metric = Metric(args.metric)
-    if metric is Metric.BANDWIDTH:
-        result = analyze_bandwidth(
-            dataset, LossComposition(args.loss_composition)
-        )
-    else:
-        result = analyze(dataset, metric, min_samples=args.min_samples)
+    try:
+        if metric is Metric.BANDWIDTH:
+            result = analyze_bandwidth(
+                dataset, LossComposition(args.loss_composition)
+            )
+        else:
+            result = analyze(dataset, metric, min_samples=args.min_samples)
+    except GraphError as exc:
+        print(f"cannot analyze {metric.value}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not result.comparisons:
         print("no analyzable pairs (try a lower --min-samples)", file=sys.stderr)
         return 1

@@ -32,12 +32,7 @@ from repro.core.ases import (
     outlier_ases,
     popularity_correlation,
 )
-from repro.core.bandwidth import (
-    BandwidthAlternate,
-    LossComposition,
-    best_bandwidth_alternates,
-    compose_bandwidth,
-)
+from repro.core.bandwidth import LossComposition, best_bandwidth_alternates
 from repro.core.episodes import EpisodeAnalysis, EpisodeError, analyze_episodes
 from repro.core.graph import (
     EdgeData,
@@ -130,7 +125,6 @@ __all__ = [
     "AlternatePathFinder",
     "AnalysisError",
     "AnalysisResult",
-    "BandwidthAlternate",
     "BootstrapError",
     "BootstrapInterval",
     "CDFSeries",
@@ -175,7 +169,6 @@ __all__ = [
     "build_graph",
     "compare_mean_vs_median",
     "compare_with_analytic",
-    "compose_bandwidth",
     "compose_loss",
     "contribution_cdf",
     "cross_metric_analysis",

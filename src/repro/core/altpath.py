@@ -20,33 +20,34 @@ re-run for destinations whose shortest path IS the direct edge.  Every
 re-run, of every source and every graph, shares one ``min_only`` Dijkstra
 call over a block-diagonal stack of edge-excluded copies, one copy per
 re-run.  Both calls split into chunks under :data:`_RERUN_STACK_CAP_BYTES`.
+
+Where the paper keeps one intermediate host (Figures 4–6, the triangle
+bounds of :mod:`repro.core.triangulation`), :func:`one_hop_search` scores
+chunks of intermediates under the same cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from repro.core.graph import GraphError, Metric, MetricGraph, Pair
-from repro.core.stats import left_sum
+from repro.core.stats import compose_loss, left_sum
 from repro.obs import runtime as obs
 
 #: Guard so zero-weight loss edges survive sparse-matrix storage (scipy
 #: treats exact zeros as missing entries).
 _EPSILON = 1e-12
 
-#: Memory ceiling for the one-hop search's (n, n, n) candidate broadcast;
-#: larger graphs fall back to the O(n^2)-memory per-intermediate loop.
-#: 64 MiB covers ~200 hosts — far above any Table 1 dataset.
-_ONE_HOP_BROADCAST_CAP_BYTES = 64 * 1024 * 1024
-
 #: Memory ceiling for one stacked Dijkstra call: the CSR arrays of a
 #: re-run stack, or the distance and predecessor rows a base pass over
-#: several graphs returns.  Larger batches are split into chunks.
+#: several graphs returns; and for the ``(n, n, chunk)`` scores of one
+#: one-hop chunk.  Larger batches are split into chunks.
 #: 256 KiB holds ~100 copies of a complete 15-host graph.  Stacks that
 #: span sources and graphs get large: at 64 MiB, perfbench
 #: paper-reproduce peaked at 124 MB against 100 MB at 256 KiB.
@@ -62,7 +63,8 @@ class AlternatePath:
         dst: Destination host.
         hops: Directed edges (ordered pairs) composing the path.
         value: Composed metric value (sum for RTT/propagation; the
-            independence combination for loss).
+            independence combination for loss; for bandwidth, the Mathis
+            kB/s of the composed RTT and loss).
     """
 
     src: str
@@ -102,10 +104,7 @@ def _edge_weight_transform(metric: Metric):
 def _composed_value(graph: MetricGraph, hops: tuple[Pair, ...]) -> float:
     values = [graph.edge(h).value for h in hops]
     if graph.metric is Metric.LOSS:
-        survive = 1.0
-        for p in values:
-            survive *= 1.0 - p
-        return 1.0 - survive
+        return compose_loss(values)
     return float(left_sum(values))
 
 
@@ -481,51 +480,76 @@ class AlternatePathFinder:
         return out
 
 
+def legs(matrix: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix[i, k]`` and ``matrix[k, j]`` for ``k`` in ``ks``, broadcastable
+    to the ``(n, n, len(ks))`` scores of :func:`one_hop_search`."""
+    return matrix[:, ks][:, None, :], matrix[ks].T[None, :, :]
+
+
+def one_hop_search(  # hotpath
+    n: int, score: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair's best single intermediate under ``score``.
+
+    ``score(ks)`` gives the ``(n, n, len(ks))`` cost of routing ``(i, j)``
+    via each ``k`` in ``ks``, +inf where a leg is missing (the diagonal
+    too); chunks of ``ks`` fit :data:`_RERUN_STACK_CAP_BYTES`.  Ties go
+    to the lowest ``k``: ``argmin`` keeps a chunk's first minimum, and a
+    later chunk wins only when strictly lower.  Returns the ``(n, n)``
+    relays (-1 where every score is +inf) and their scores.
+    """
+    width = max(1, _RERUN_STACK_CAP_BYTES // (8 * n * n)) if n else 1
+    ks = np.arange(n)
+    via = np.full((n, n), -1)
+    best = np.full((n, n), np.inf)
+    for first in range(0, n, width):
+        chunk = ks[first : first + width]
+        cand = score(chunk)
+        arg = np.argmin(cand, axis=2)
+        low = np.take_along_axis(cand, arg[:, :, None], axis=2)[:, :, 0]
+        better = low < best
+        best[better] = low[better]
+        via[better] = chunk[arg[better]]
+    return via, best
+
+
+def one_hop_alternates(
+    graph: MetricGraph,
+    pairs: list[Pair] | None,
+    score: Callable[[np.ndarray], np.ndarray],
+    value: Callable[[tuple[Pair, ...], float], float],
+) -> dict[Pair, AlternatePath]:
+    """The best relay of each wanted pair under ``score``, as a path whose
+    ``value(hops, score)`` is its composed metric."""
+    hosts = graph.hosts
+    wanted = pairs if pairs is not None else sorted(graph.edges)
+    with obs.span("core.altpath.one_hop") as sp:
+        sp.set("pairs", len(wanted))
+        via, best = one_hop_search(len(hosts), score)
+    out: dict[Pair, AlternatePath] = {}
+    for src, dst in wanted:
+        i, j = graph.host_index(src), graph.host_index(dst)
+        k = int(via[i, j])
+        if k >= 0:
+            hops = ((src, hosts[k]), (hosts[k], dst))
+            out[(src, dst)] = AlternatePath(src, dst, hops, value(hops, best[i, j]))
+    return out
+
+
 def best_one_hop_alternates(
     graph: MetricGraph, pairs: list[Pair] | None = None
 ) -> dict[Pair, AlternatePath]:
     """Best single-intermediate alternate for each pair.
 
     Used where the paper restricts itself to one-hop alternates "to keep
-    the computational costs reasonable" (Figure 6) or "to be
-    computationally tractable" (bandwidth, §5 — though bandwidth
-    composition itself lives in :mod:`repro.core.bandwidth`).
+    the computational costs reasonable" (Figure 6).  Candidates are
+    ranked by ``w[i, k] + w[k, j]`` (``-log(1 - p)`` weights for loss),
+    and the winner's value is composed exactly.
     """
-    transform = _edge_weight_transform(graph.metric)
-    weights = graph.weight_matrix(transform)
-    hosts = graph.hosts
-    n = len(hosts)
-    wanted = pairs if pairs is not None else sorted(graph.edges)
-    if n > 0 and n ** 3 * 8 <= _ONE_HOP_BROADCAST_CAP_BYTES:
-        # One 3-D broadcast: cand[i, j, k] = w[i, k] + w[k, j].  argmin
-        # returns the first k attaining the minimum — the same tie-break
-        # as the chunked loop below (a later equal candidate never
-        # displaces an earlier one).
-        cand = weights[:, None, :] + weights.T[None, :, :]
-        best_mid = np.argmin(cand, axis=2)
-        best_val = np.take_along_axis(cand, best_mid[:, :, None], axis=2)[:, :, 0]
-        best_mid = np.where(np.isfinite(best_val), best_mid, -1)
-    else:
-        # Chunked fallback: one intermediate at a time, O(n^2) memory.
-        best_val = np.full((n, n), np.inf)
-        best_mid = np.full((n, n), -1, dtype=int)
-        for k in range(n):
-            # Candidate: src -> k -> dst for all (src, dst) at once.
-            cand = weights[:, k][:, None] + weights[k, :][None, :]
-            improved = cand < best_val
-            best_val[improved] = cand[improved]
-            best_mid[improved] = k
-    out: dict[Pair, AlternatePath] = {}
-    for src, dst in wanted:
-        i, j = graph.host_index(src), graph.host_index(dst)
-        k = int(best_mid[i, j])
-        if k < 0 or not np.isfinite(best_val[i, j]):
-            continue
-        hops = ((src, hosts[k]), (hosts[k], dst))
-        out[(src, dst)] = AlternatePath(
-            src=src,
-            dst=dst,
-            hops=hops,
-            value=_composed_value(graph, hops),
-        )
-    return out
+    weights = graph.weight_matrix(_edge_weight_transform(graph.metric))
+    return one_hop_alternates(
+        graph,
+        pairs,
+        lambda ks: np.add(*legs(weights, ks)),
+        lambda hops, _: _composed_value(graph, hops),
+    )

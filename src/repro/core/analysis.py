@@ -21,11 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.altpath import AlternatePath, AlternatePathFinder, best_one_hop_alternates
-from repro.core.bandwidth import (
-    BandwidthAlternate,
-    LossComposition,
-    best_bandwidth_alternates,
-)
+from repro.core.bandwidth import LossComposition, best_bandwidth_alternates
 from repro.core.graph import Metric, MetricGraph, Pair, build_graph
 from repro.core.stats import (
     CDFSeries,
@@ -164,10 +160,6 @@ class AnalysisResult:
         return {c: 100.0 * v / total for c, v in counts.items()}
 
 
-def _alt_components(graph: MetricGraph, alt: AlternatePath):
-    return [graph.edge(h).stats for h in alt.hops]
-
-
 def analyze(
     dataset: Dataset,
     metric: Metric,
@@ -215,42 +207,10 @@ def analyze_graph(
     graphs from data subsets (time-of-day, per-episode, host-removal).
     """
     if one_hop_only:
-        alternates: dict[Pair, AlternatePath] = best_one_hop_alternates(graph, pairs)
+        alternates = best_one_hop_alternates(graph, pairs)
     else:
         alternates = AlternatePathFinder(graph).best_all(pairs)
-    comparisons: list[PairComparison] = []
-    wanted: Iterable[Pair] = pairs if pairs is not None else sorted(graph.edges)
-    for pair in wanted:
-        if not graph.has_edge(pair):
-            continue
-        alt = alternates.get(pair)
-        if alt is None:
-            continue
-        default = graph.edge(pair)
-        components = _alt_components(graph, alt)
-        if graph.metric is Metric.LOSS:
-            estimate = diff_of_loss_rates(default.stats, components)
-        elif graph.metric is Metric.RTT:
-            estimate = diff_of_means(default.stats, components)
-        else:
-            estimate = None  # percentile-based metrics carry no simple SE
-        comparisons.append(
-            PairComparison(
-                src=pair[0],
-                dst=pair[1],
-                metric=graph.metric,
-                default_value=default.value,
-                alt_value=alt.value,
-                via=alt.via,
-                estimate=estimate,
-            )
-        )
-    return AnalysisResult(
-        dataset_name=dataset_name,
-        metric=graph.metric,
-        comparisons=comparisons,
-        graph=graph,
-    )
+    return _compare(graph, alternates, dataset_name, pairs)
 
 
 def analyze_bandwidth(
@@ -267,29 +227,47 @@ def analyze_bandwidth(
     """
     graph = build_graph(dataset, Metric.BANDWIDTH, min_samples=min_samples)
     alternates = best_bandwidth_alternates(graph, composition, pairs)
+    name = f"{dataset.meta.name} {composition.value}"
+    return _compare(graph, alternates, name, pairs)
+
+
+def _compare(
+    graph: MetricGraph,
+    alternates: dict[Pair, AlternatePath],
+    dataset_name: str,
+    pairs: list[Pair] | None,
+) -> AnalysisResult:
+    """One comparison per measured pair of ``pairs`` that has an alternate."""
     comparisons: list[PairComparison] = []
     wanted: Iterable[Pair] = pairs if pairs is not None else sorted(graph.edges)
     for pair in wanted:
         if not graph.has_edge(pair):
             continue
-        alt: BandwidthAlternate | None = alternates.get(pair)
+        alt = alternates.get(pair)
         if alt is None:
             continue
         default = graph.edge(pair)
+        components = [graph.edge(h).stats for h in alt.hops]
+        if graph.metric is Metric.LOSS:
+            estimate = diff_of_loss_rates(default.stats, components)
+        elif graph.metric is Metric.RTT:
+            estimate = diff_of_means(default.stats, components)
+        else:
+            estimate = None  # percentile and composed metrics carry no simple SE
         comparisons.append(
             PairComparison(
                 src=pair[0],
                 dst=pair[1],
-                metric=Metric.BANDWIDTH,
+                metric=graph.metric,
                 default_value=default.value,
-                alt_value=alt.bandwidth_kbps,
-                via=(alt.via,),
-                estimate=None,
+                alt_value=alt.value,
+                via=alt.via,
+                estimate=estimate,
             )
         )
     return AnalysisResult(
-        dataset_name=f"{dataset.meta.name} {composition.value}",
-        metric=Metric.BANDWIDTH,
+        dataset_name=dataset_name,
+        metric=graph.metric,
         comparisons=comparisons,
         graph=graph,
     )

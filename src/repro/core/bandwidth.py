@@ -19,12 +19,12 @@ length one hop."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.altpath import AlternatePath, legs, one_hop_alternates
 from repro.core.graph import GraphError, Metric, MetricGraph, Pair
-from repro.measurement.tcp import mathis_bandwidth_kbps
+from repro.measurement.tcp import mathis_bandwidth_kbps_array
 
 #: Loss floor applied before the Mathis formula: a measured loss rate of
 #: exactly zero would imply infinite bandwidth.
@@ -40,59 +40,28 @@ class LossComposition(enum.Enum):
     #: ablation benchmark as an upper-bound sanity check.
     SUM = "sum"
 
-    def combine(self, p1: float, p2: float) -> float:
-        """Compose two loss rates."""
+    def combine(
+        self, p1: float | np.ndarray, p2: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Compose two loss rates, scalars or arrays alike."""
         if self is LossComposition.OPTIMISTIC:
-            return max(p1, p2)
+            return np.maximum(p1, p2)
         if self is LossComposition.PESSIMISTIC:
             return 1.0 - (1.0 - p1) * (1.0 - p2)
-        return min(p1 + p2, 1.0)
-
-
-@dataclass(frozen=True, slots=True)
-class BandwidthAlternate:
-    """Best one-hop synthetic bandwidth for one ordered pair.
-
-    Attributes:
-        src: Source host.
-        dst: Destination host.
-        via: The single intermediate host.
-        bandwidth_kbps: Composed Mathis bandwidth of the synthetic path.
-        rtt_ms: Composed RTT (sum of the two hops).
-        loss_rate: Composed loss under the chosen composition.
-    """
-
-    src: str
-    dst: str
-    via: str
-    bandwidth_kbps: float
-    rtt_ms: float
-    loss_rate: float
-
-
-def compose_bandwidth(
-    rtt1_ms: float,
-    loss1: float,
-    rtt2_ms: float,
-    loss2: float,
-    composition: LossComposition,
-) -> tuple[float, float, float]:
-    """Mathis bandwidth of a two-hop synthetic path.
-
-    Returns:
-        (bandwidth_kbps, composed_rtt_ms, composed_loss).
-    """
-    rtt = rtt1_ms + rtt2_ms
-    loss = max(composition.combine(loss1, loss2), LOSS_FLOOR)
-    return mathis_bandwidth_kbps(rtt, loss), rtt, loss
+        return np.minimum(p1 + p2, 1.0)
 
 
 def best_bandwidth_alternates(
     graph: MetricGraph,
     composition: LossComposition,
     pairs: list[Pair] | None = None,
-) -> dict[Pair, BandwidthAlternate]:
+) -> dict[Pair, AlternatePath]:
     """Best one-hop bandwidth alternates for every measured pair.
+
+    A candidate's RTT is the sum of its legs' ``rtt_mean``, its loss the
+    ``composition`` of their ``loss_mean`` floored at
+    :data:`LOSS_FLOOR`; the winner maximizes the Mathis bandwidth of
+    the two, and its ``value`` is that bandwidth in kB/s.
 
     Args:
         graph: A :data:`Metric.BANDWIDTH` graph whose edges carry
@@ -105,36 +74,21 @@ def best_bandwidth_alternates(
     """
     if graph.metric is not Metric.BANDWIDTH:
         raise GraphError("best_bandwidth_alternates requires a bandwidth graph")
-    hosts = graph.hosts
-    n = len(hosts)
+    n = len(graph.hosts)
+    # A missing leg has infinite RTT; its zero loss keeps the composition
+    # finite until the score masks it.
     rtt = np.full((n, n), np.inf)
-    loss = np.full((n, n), np.inf)
+    loss = np.zeros((n, n))
     for (src, dst), data in graph.edges.items():
-        i, j = graph.host_index(src), graph.host_index(dst)
-        rtt[i, j] = data.aux["rtt_mean"]
-        loss[i, j] = data.aux["loss_mean"]
-    wanted = pairs if pairs is not None else sorted(graph.edges)
-    out: dict[Pair, BandwidthAlternate] = {}
-    for src, dst in wanted:
-        i, j = graph.host_index(src), graph.host_index(dst)
-        best: BandwidthAlternate | None = None
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            if not (np.isfinite(rtt[i, k]) and np.isfinite(rtt[k, j])):
-                continue
-            bw, crtt, closs = compose_bandwidth(
-                rtt[i, k], loss[i, k], rtt[k, j], loss[k, j], composition
-            )
-            if best is None or bw > best.bandwidth_kbps:
-                best = BandwidthAlternate(
-                    src=src,
-                    dst=dst,
-                    via=hosts[k],
-                    bandwidth_kbps=bw,
-                    rtt_ms=crtt,
-                    loss_rate=closs,
-                )
-        if best is not None:
-            out[(src, dst)] = best
-    return out
+        at = graph.host_index(src), graph.host_index(dst)
+        rtt[at], loss[at] = data.aux["rtt_mean"], data.aux["loss_mean"]
+
+    def score(ks: np.ndarray) -> np.ndarray:
+        rtt1, rtt2 = legs(rtt, ks)
+        loss1, loss2 = legs(loss, ks)
+        composed = rtt1 + rtt2
+        floored = np.maximum(composition.combine(loss1, loss2), LOSS_FLOOR)
+        bandwidth = mathis_bandwidth_kbps_array(composed, floored)
+        return np.where(np.isinf(composed), np.inf, -bandwidth)
+
+    return one_hop_alternates(graph, pairs, score, lambda _, best: -float(best))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.altpath import _composed_value
 from repro.core.analysis import analyze
-from repro.core.graph import Metric, MetricGraph, Pair, build_graph
-from repro.core.stats import compose_loss, left_sum
+from repro.core.graph import Metric, Pair, build_graph
 from repro.datasets.dataset import Dataset
 
 
@@ -48,17 +48,6 @@ class CrossMetricPoint:
         return self.primary_improvement > 0 and self.secondary_improvement > 0
 
 
-def _composed_value(graph: MetricGraph, legs: list[Pair]) -> float | None:
-    values = []
-    for leg in legs:
-        if not graph.has_edge(leg):
-            return None
-        values.append(graph.edge(leg).value)
-    if graph.metric is Metric.LOSS:
-        return compose_loss(values)
-    return float(left_sum(values))
-
-
 def cross_metric_analysis(
     dataset: Dataset,
     select_by: Metric,
@@ -87,12 +76,10 @@ def cross_metric_analysis(
     points: list[CrossMetricPoint] = []
     for comp in selection.comparisons:
         pair: Pair = (comp.src, comp.dst)
-        if not judge_graph.has_edge(pair):
+        legs = tuple(zip((comp.src, *comp.via), (*comp.via, comp.dst)))
+        if not all(map(judge_graph.has_edge, (pair, *legs))):
             continue
-        legs = list(zip((comp.src, *comp.via), (*comp.via, comp.dst)))
         alt_value = _composed_value(judge_graph, legs)
-        if alt_value is None:
-            continue
         default_value = judge_graph.edge(pair).value
         points.append(
             CrossMetricPoint(

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.altpath import legs, one_hop_search
 from repro.core.graph import Metric, MetricGraph, build_graph
 from repro.datasets.dataset import Dataset
+from repro.obs import runtime as obs
 
 
 class TriangulationError(RuntimeError):
@@ -62,6 +64,9 @@ class TrianglePoint:
 def triangulate(graph: MetricGraph) -> list[TrianglePoint]:
     """Triangle bounds for every measured pair of a propagation graph.
 
+    Both bounds range over the landmarks with both legs measured: the
+    upper bound is the smallest ``a + b`` (ties to the lowest-index
+    landmark), the lower bound the largest ``|a - b|``, floored at 0.
     Pairs with no common landmark are skipped.
 
     Raises:
@@ -70,34 +75,37 @@ def triangulate(graph: MetricGraph) -> list[TrianglePoint]:
     if graph.metric is not Metric.PROP_DELAY:
         raise TriangulationError("triangulation expects a PROP_DELAY graph")
     hosts = graph.hosts
-    weights = graph.weight_matrix()
     n = len(hosts)
+    weights = graph.weight_matrix()
+    # Missing legs read 0 here so no difference meets inf - inf; the
+    # upper-bound sum, inf exactly where a leg is missing, masks them.
+    known = np.where(np.isfinite(weights), weights, 0.0)
+
+    def spread(ks: np.ndarray) -> np.ndarray:
+        a, b = legs(known, ks)
+        missing = np.isinf(np.add(*legs(weights, ks)))
+        return np.where(missing, np.inf, -np.abs(a - b))
+
+    edges = sorted(graph.edges.items())
+    with obs.span("core.altpath.one_hop") as sp:
+        sp.set("pairs", len(edges))
+        via, upper = one_hop_search(n, lambda ks: np.add(*legs(weights, ks)))
+        _, spread_min = one_hop_search(n, spread)
+    lower = np.maximum(-spread_min, 0.0)
     points: list[TrianglePoint] = []
-    for (src, dst), data in sorted(graph.edges.items()):
+    for (src, dst), data in edges:
         i, j = graph.host_index(src), graph.host_index(dst)
-        best_upper = np.inf
-        best_lower = 0.0
-        best_mid = None
-        for k in range(n):
-            if k in (i, j):
-                continue
-            a, b = weights[i, k], weights[k, j]
-            if not (np.isfinite(a) and np.isfinite(b)):
-                continue
-            upper = a + b
-            if upper < best_upper:
-                best_upper, best_mid = upper, k
-            best_lower = max(best_lower, abs(a - b))
-        if best_mid is None:
+        k = int(via[i, j])
+        if k < 0:
             continue
         points.append(
             TrianglePoint(
                 src=src,
                 dst=dst,
                 actual_ms=data.value,
-                upper_ms=float(best_upper),
-                lower_ms=float(best_lower),
-                landmark=hosts[best_mid],
+                upper_ms=float(upper[i, j]),
+                lower_ms=float(lower[i, j]),
+                landmark=hosts[k],
             )
         )
     return points

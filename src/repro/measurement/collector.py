@@ -36,6 +36,7 @@ from repro.measurement.tcp import TCPTransferSimulator
 from repro.measurement.traceroute import INTER_PROBE_GAP_S
 from repro.netsim.conditions import NetworkConditions, PathSampler
 from repro.netsim.dynamics import DynamicPathSampler
+from repro.obs import runtime as obs
 from repro.routing.dynamics import RouteFlapModel
 from repro.routing.forwarding import ForwardPath, PathResolver, RoundTripPath
 from repro.topology.network import Topology
@@ -110,30 +111,33 @@ class Campaign:
             i for i in range(len(pairs))
             if blackout_rng.random() < pair_blackout_prob
         }
-        resolved = self._resolver.round_trips(pairs)
-        self._unreachable = {
-            i for i, pair in enumerate(pairs) if pair not in resolved
-        }
-        if self._unreachable and not allow_unreachable:
-            # Re-resolve the first unreachable pair to raise its error.
-            self._resolver.resolve_round_trip(*pairs[min(self._unreachable)])
-        self._round_trips = [
-            resolved[pair] if pair in resolved
-            else self._placeholder_round_trip(*pair)
-            for pair in pairs
-        ]
-        if flap_model is None:
-            self._sampler = PathSampler(conditions, self._round_trips)
-        else:
-            secondaries = [
-                self._round_trips[i]
-                if i in self._unreachable
-                else self._resolver.resolve_round_trip_secondary(a, b)
-                for i, (a, b) in enumerate(pairs)
+        with obs.span("measurement.campaign") as sp:
+            sp.set("pairs", len(pairs))
+            resolved = self._resolver.round_trips(pairs)
+            self._unreachable = {
+                i for i, pair in enumerate(pairs) if pair not in resolved
+            }
+            sp.set("unreachable", len(self._unreachable))
+            if self._unreachable and not allow_unreachable:
+                # Re-resolve the first unreachable pair to raise its error.
+                self._resolver.resolve_round_trip(*pairs[min(self._unreachable)])
+            self._round_trips = [
+                resolved[pair] if pair in resolved
+                else self._placeholder_round_trip(*pair)
+                for pair in pairs
             ]
-            self._sampler = DynamicPathSampler(
-                conditions, self._round_trips, secondaries, flap_model
-            )
+            if flap_model is None:
+                self._sampler = PathSampler(conditions, self._round_trips)
+            else:
+                secondaries = [
+                    self._round_trips[i]
+                    if i in self._unreachable
+                    else self._resolver.resolve_round_trip_secondary(a, b)
+                    for i, (a, b) in enumerate(pairs)
+                ]
+                self._sampler = DynamicPathSampler(
+                    conditions, self._round_trips, secondaries, flap_model
+                )
         self._tcp = TCPTransferSimulator(topo, self._round_trips)
         self._rate_limits = {
             h.name: h.icmp_rate_limit_per_min
@@ -314,36 +318,39 @@ class Campaign:
         (scenario outages) consume no probe draws and are recorded with
         every probe lost.
         """
-        stats = CollectionStats()
-        rng = self._rng
-        ordered, idx = self._prepare(requests)
-        executed, unreachable = self._control_outcomes(idx, rng, stats)
-        exec_pos = np.flatnonzero(executed)
-        exec_requests = [ordered[j] for j in exec_pos]
-        ts = np.repeat(
-            np.array([req.t for req in exec_requests], dtype=np.float64),
-            PROBES_PER_TRACEROUTE,
-        )
-        pidx = np.repeat(idx[exec_pos], PROBES_PER_TRACEROUTE)
-        rtts = self._sampler.probe_batch(ts, rng, indices=pidx)
-        samples = rtts.reshape(len(exec_requests), PROBES_PER_TRACEROUTE)
-        stats.rate_limited_probes = self._apply_rate_limits(
-            exec_requests, samples
-        )
-        if not stats.unreachable:
-            return self._traceroute_records(exec_requests, samples), stats
-        # Scatter measured rows among all-NaN unreachable rows so records
-        # come out in schedule order, like the scalar reference.
-        rec_pos = np.flatnonzero(executed | unreachable)
-        all_samples = np.full(
-            (len(ordered), PROBES_PER_TRACEROUTE), np.nan
-        )
-        all_samples[exec_pos] = samples
-        rec_requests = [ordered[j] for j in rec_pos]
-        return (
-            self._traceroute_records(rec_requests, all_samples[rec_pos]),
-            stats,
-        )
+        with obs.span("measurement.traceroutes") as sp:
+            stats = CollectionStats()
+            rng = self._rng
+            ordered, idx = self._prepare(requests)
+            executed, unreachable = self._control_outcomes(idx, rng, stats)
+            sp.set("requests", stats.requested)
+            sp.set("completed", stats.completed)
+            exec_pos = np.flatnonzero(executed)
+            exec_requests = [ordered[j] for j in exec_pos]
+            ts = np.repeat(
+                np.array([req.t for req in exec_requests], dtype=np.float64),
+                PROBES_PER_TRACEROUTE,
+            )
+            pidx = np.repeat(idx[exec_pos], PROBES_PER_TRACEROUTE)
+            rtts = self._sampler.probe_batch(ts, rng, indices=pidx)
+            samples = rtts.reshape(len(exec_requests), PROBES_PER_TRACEROUTE)
+            stats.rate_limited_probes = self._apply_rate_limits(
+                exec_requests, samples
+            )
+            if not stats.unreachable:
+                return self._traceroute_records(exec_requests, samples), stats
+            # Scatter measured rows among all-NaN unreachable rows so records
+            # come out in schedule order, like the scalar reference.
+            rec_pos = np.flatnonzero(executed | unreachable)
+            all_samples = np.full(
+                (len(ordered), PROBES_PER_TRACEROUTE), np.nan
+            )
+            all_samples[exec_pos] = samples
+            rec_requests = [ordered[j] for j in rec_pos]
+            return (
+                self._traceroute_records(rec_requests, all_samples[rec_pos]),
+                stats,
+            )
 
     def run_transfers(
         self, requests: Iterable[Request]
@@ -356,25 +363,28 @@ class Campaign:
         connection that never establishes yields nothing to log), only a
         stats tally.
         """
-        stats = CollectionStats()
-        rng = self._rng
-        ordered, idx = self._prepare(requests)
-        executed, _unreachable = self._control_outcomes(idx, rng, stats)
-        exec_pos = np.flatnonzero(executed)
-        exec_requests = [ordered[j] for j in exec_pos]
-        exec_idx = idx[exec_pos]
-        ts = np.array([req.t for req in exec_requests], dtype=np.float64)
-        prop, qsum, ploss = self._sampler.gather_bucket_state(ts, exec_idx)
-        rtt, loss, bw = self._tcp.measure_block(prop, qsum, ploss, exec_idx, rng)
-        records = [
-            TransferRecord(
-                t=req.t,
-                src=req.src,
-                dst=req.dst,
-                rtt_ms=float(rtt[j]),
-                loss_rate=float(loss[j]),
-                bandwidth_kbps=float(bw[j]),
-            )
-            for j, req in enumerate(exec_requests)
-        ]
+        with obs.span("measurement.transfers") as sp:
+            stats = CollectionStats()
+            rng = self._rng
+            ordered, idx = self._prepare(requests)
+            executed, _unreachable = self._control_outcomes(idx, rng, stats)
+            sp.set("requests", stats.requested)
+            sp.set("completed", stats.completed)
+            exec_pos = np.flatnonzero(executed)
+            exec_requests = [ordered[j] for j in exec_pos]
+            exec_idx = idx[exec_pos]
+            ts = np.array([req.t for req in exec_requests], dtype=np.float64)
+            prop, qsum, ploss = self._sampler.gather_bucket_state(ts, exec_idx)
+            rtt, loss, bw = self._tcp.measure_block(prop, qsum, ploss, exec_idx, rng)
+            records = [
+                TransferRecord(
+                    t=req.t,
+                    src=req.src,
+                    dst=req.dst,
+                    rtt_ms=float(rtt[j]),
+                    loss_rate=float(loss[j]),
+                    bandwidth_kbps=float(bw[j]),
+                )
+                for j, req in enumerate(exec_requests)
+            ]
         return records, stats

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.obs import runtime as obs
 from repro.routing.forwarding import RoundTripPath
 from repro.topology.network import Topology
 
@@ -113,18 +114,20 @@ class TCPTransferSimulator:
         Returns:
             (rtt_ms, loss_rate, bandwidth_kbps) arrays aligned with rows.
         """
-        u = rng.random((len(prop), self.DRAWS_PER_TRANSFER))
-        jitter = -np.log1p(-u[:, 0]) * (0.35 * qsum + 0.4)
-        self_queue = 1.02 + (1.15 - 1.02) * u[:, 1]  # our own packets queue too
-        rtt = (prop + qsum) * self_queue + jitter + 0.4
-        lo, hi = SELF_LOSS_RANGE
-        p_self = lo + (hi - lo) * u[:, 2]
-        p_eff = 1.0 - (1.0 - ploss) * (1.0 - p_self)
-        bw = mathis_bandwidth_kbps_array(rtt, p_eff)
-        bw = np.minimum(bw, BOTTLENECK_SHARE * self._bottleneck[indices])
-        # Short transfers never reach steady state: slow start costs a
-        # fraction of the achievable rate that grows with RTT.
-        bw = bw * (1.0 / (1.0 + rtt / SLOW_START_HALF_RTT_MS))
-        # Small measurement noise on the achieved rate.
-        bw = bw * (0.92 + (1.08 - 0.92) * u[:, 3])
+        with obs.span("measurement.measure_block") as sp:
+            sp.set("transfers", len(prop))
+            u = rng.random((len(prop), self.DRAWS_PER_TRANSFER))
+            jitter = -np.log1p(-u[:, 0]) * (0.35 * qsum + 0.4)
+            self_queue = 1.02 + (1.15 - 1.02) * u[:, 1]  # our own packets queue too
+            rtt = (prop + qsum) * self_queue + jitter + 0.4
+            lo, hi = SELF_LOSS_RANGE
+            p_self = lo + (hi - lo) * u[:, 2]
+            p_eff = 1.0 - (1.0 - ploss) * (1.0 - p_self)
+            bw = mathis_bandwidth_kbps_array(rtt, p_eff)
+            bw = np.minimum(bw, BOTTLENECK_SHARE * self._bottleneck[indices])
+            # Short transfers never reach steady state: slow start costs a
+            # fraction of the achievable rate that grows with RTT.
+            bw = bw * (1.0 / (1.0 + rtt / SLOW_START_HALF_RTT_MS))
+            # Small measurement noise on the achieved rate.
+            bw = bw * (0.92 + (1.08 - 0.92) * u[:, 3])
         return rtt, p_eff, bw

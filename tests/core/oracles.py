@@ -13,6 +13,11 @@
 * :func:`analyze_episodes_per_episode` is Figure 11's loop: one
   ``MetricGraph`` and one ``analyze_graph`` per UW4-A episode.
   ``analyze_episodes`` searches the episode graphs together.
+* :func:`best_one_hop_reference`, :func:`best_bandwidth_alternates_per_pair`
+  and :func:`triangulate_per_pair` are the one-hop searches as an
+  ``(n, n, n)`` broadcast, a loop over intermediates and per-pair loops
+  over intermediates.  ``altpath.one_hop_search`` answers all three in
+  chunks of intermediates.
 """
 
 from __future__ import annotations
@@ -23,13 +28,21 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.core.altpath import AlternatePath, AlternatePathFinder, _composed_value
+from repro.core.altpath import (
+    AlternatePath,
+    AlternatePathFinder,
+    _composed_value,
+    _edge_weight_transform,
+)
 from repro.core.analysis import analyze_graph
+from repro.core.bandwidth import LOSS_FLOOR, LossComposition
 from repro.core.episodes import EpisodeAnalysis
 from repro.core.graph import EdgeData, GraphError, Metric, MetricGraph, Pair
 from repro.core.hosts import RemovalStep
 from repro.core.stats import SampleStats
+from repro.core.triangulation import TrianglePoint
 from repro.datasets.dataset import Dataset
+from repro.measurement.tcp import mathis_bandwidth_kbps
 
 
 def _reconstruct(
@@ -192,3 +205,141 @@ def analyze_episodes_per_episode(
                 pair = (comp.src, comp.dst)
                 diffs.setdefault(pair, []).append((ep, comp.improvement))
     return EpisodeAnalysis(diffs=diffs, episodes_analyzed=analyzed)
+
+
+def best_one_hop_reference(
+    graph: MetricGraph, pairs: list[Pair] | None = None, *, broadcast: bool = True
+) -> dict[Pair, AlternatePath]:
+    """``best_one_hop_alternates`` as one ``(n, n, n)`` broadcast, or with
+    ``broadcast=False`` one intermediate at a time."""
+    weights = graph.weight_matrix(_edge_weight_transform(graph.metric))
+    hosts = graph.hosts
+    n = len(hosts)
+    wanted = pairs if pairs is not None else sorted(graph.edges)
+    if broadcast and n > 0:
+        # cand[i, j, k] = w[i, k] + w[k, j]; argmin keeps the first k.
+        cand = weights[:, None, :] + weights.T[None, :, :]
+        best_mid = np.argmin(cand, axis=2)
+        best_val = np.take_along_axis(cand, best_mid[:, :, None], axis=2)[:, :, 0]
+        best_mid = np.where(np.isfinite(best_val), best_mid, -1)
+    else:
+        best_val = np.full((n, n), np.inf)
+        best_mid = np.full((n, n), -1, dtype=int)
+        for k in range(n):
+            cand = weights[:, k][:, None] + weights[k, :][None, :]
+            improved = cand < best_val
+            best_val[improved] = cand[improved]
+            best_mid[improved] = k
+    out: dict[Pair, AlternatePath] = {}
+    for src, dst in wanted:
+        i, j = graph.host_index(src), graph.host_index(dst)
+        k = int(best_mid[i, j])
+        if k < 0 or not np.isfinite(best_val[i, j]):
+            continue
+        hops = ((src, hosts[k]), (hosts[k], dst))
+        out[(src, dst)] = AlternatePath(
+            src=src, dst=dst, hops=hops, value=_composed_value(graph, hops)
+        )
+    return out
+
+
+def _combine(composition: LossComposition, p1: float, p2: float) -> float:
+    """Two loss rates composed as §5 words each rule, on Python floats."""
+    if composition is LossComposition.OPTIMISTIC:
+        return max(p1, p2)
+    if composition is LossComposition.PESSIMISTIC:
+        return 1.0 - (1.0 - p1) * (1.0 - p2)
+    return min(p1 + p2, 1.0)
+
+
+def compose_bandwidth(
+    rtt1_ms: float,
+    loss1: float,
+    rtt2_ms: float,
+    loss2: float,
+    composition: LossComposition,
+) -> tuple[float, float, float]:
+    """Mathis bandwidth of a two-hop synthetic path.
+
+    Returns:
+        (bandwidth_kbps, composed_rtt_ms, composed_loss).
+    """
+    rtt = rtt1_ms + rtt2_ms
+    loss = max(_combine(composition, loss1, loss2), LOSS_FLOOR)
+    return mathis_bandwidth_kbps(rtt, loss), rtt, loss
+
+
+def best_bandwidth_alternates_per_pair(
+    graph: MetricGraph,
+    composition: LossComposition,
+    pairs: list[Pair] | None = None,
+) -> dict[Pair, AlternatePath]:
+    """``best_bandwidth_alternates``, one :func:`compose_bandwidth` per
+    pair and intermediate; a later relay wins only with more bandwidth."""
+    hosts = graph.hosts
+    n = len(hosts)
+    rtt = np.full((n, n), np.inf)
+    loss = np.full((n, n), np.inf)
+    for (src, dst), data in graph.edges.items():
+        i, j = graph.host_index(src), graph.host_index(dst)
+        rtt[i, j] = data.aux["rtt_mean"]
+        loss[i, j] = data.aux["loss_mean"]
+    wanted = pairs if pairs is not None else sorted(graph.edges)
+    out: dict[Pair, AlternatePath] = {}
+    for src, dst in wanted:
+        i, j = graph.host_index(src), graph.host_index(dst)
+        best: AlternatePath | None = None
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            if not (np.isfinite(rtt[i, k]) and np.isfinite(rtt[k, j])):
+                continue
+            bw, _, _ = compose_bandwidth(
+                rtt[i, k], loss[i, k], rtt[k, j], loss[k, j], composition
+            )
+            if best is None or bw > best.value:
+                best = AlternatePath(
+                    src=src,
+                    dst=dst,
+                    hops=((src, hosts[k]), (hosts[k], dst)),
+                    value=bw,
+                )
+        if best is not None:
+            out[(src, dst)] = best
+    return out
+
+
+def triangulate_per_pair(graph: MetricGraph) -> list[TrianglePoint]:
+    """``triangulate``, one loop over landmarks per measured pair."""
+    hosts = graph.hosts
+    weights = graph.weight_matrix()
+    n = len(hosts)
+    points: list[TrianglePoint] = []
+    for (src, dst), data in sorted(graph.edges.items()):
+        i, j = graph.host_index(src), graph.host_index(dst)
+        best_upper = np.inf
+        best_lower = 0.0
+        best_mid = None
+        for k in range(n):
+            if k in (i, j):
+                continue
+            a, b = weights[i, k], weights[k, j]
+            if not (np.isfinite(a) and np.isfinite(b)):
+                continue
+            upper = a + b
+            if upper < best_upper:
+                best_upper, best_mid = upper, k
+            best_lower = max(best_lower, abs(a - b))
+        if best_mid is None:
+            continue
+        points.append(
+            TrianglePoint(
+                src=src,
+                dst=dst,
+                actual_ms=data.value,
+                upper_ms=float(best_upper),
+                lower_ms=float(best_lower),
+                landmark=hosts[best_mid],
+            )
+        )
+    return points

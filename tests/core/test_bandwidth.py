@@ -7,12 +7,33 @@ from repro.core.bandwidth import (
     LOSS_FLOOR,
     LossComposition,
     best_bandwidth_alternates,
-    compose_bandwidth,
 )
-from repro.core.graph import GraphError, Metric, build_graph
+from repro.core.graph import EdgeData, GraphError, Metric, MetricGraph, build_graph
+from repro.core.stats import SampleStats
 from repro.measurement.tcp import mathis_bandwidth_kbps
+from tests.core.oracles import compose_bandwidth
 
 losses = st.floats(min_value=0.0, max_value=0.5)
+
+
+def _two_legs(rtt1, loss1, rtt2, loss2):
+    """a -> c -> b is the only relay for (a, b); the direct edge is slow."""
+    g = MetricGraph(Metric.BANDWIDTH, ["a", "b", "c"])
+    legs = {
+        ("a", "b"): (500.0, 0.3),
+        ("a", "c"): (rtt1, loss1),
+        ("c", "b"): (rtt2, loss2),
+    }
+    for pair, (rtt, loss) in legs.items():
+        g.add_edge(
+            pair,
+            EdgeData(
+                value=1.0,
+                stats=SampleStats(n=3, mean=1.0, var=0.1),
+                aux={"rtt_mean": rtt, "loss_mean": loss},
+            ),
+        )
+    return g
 
 
 def test_composition_modes():
@@ -33,16 +54,20 @@ def test_composition_ordering(p1, p2):
 
 
 def test_compose_bandwidth_adds_rtts():
-    bw, rtt, loss = compose_bandwidth(50.0, 0.01, 70.0, 0.02, LossComposition.OPTIMISTIC)
-    assert rtt == pytest.approx(120.0)
-    assert loss == pytest.approx(0.02)
-    assert bw == pytest.approx(mathis_bandwidth_kbps(120.0, 0.02))
+    graph = _two_legs(50.0, 0.01, 70.0, 0.02)
+    alt = best_bandwidth_alternates(graph, LossComposition.OPTIMISTIC)[("a", "b")]
+    assert alt.via == ("c",)
+    # RTTs add; the optimistic loss is the larger leg's.
+    assert alt.value == mathis_bandwidth_kbps(120.0, 0.02)
+    pes = best_bandwidth_alternates(graph, LossComposition.PESSIMISTIC)[("a", "b")]
+    assert pes.value == mathis_bandwidth_kbps(120.0, 1.0 - (1.0 - 0.01) * (1.0 - 0.02))
 
 
 def test_compose_bandwidth_loss_floor():
-    bw, _, loss = compose_bandwidth(50.0, 0.0, 50.0, 0.0, LossComposition.OPTIMISTIC)
-    assert loss == LOSS_FLOOR
-    assert bw == pytest.approx(mathis_bandwidth_kbps(100.0, LOSS_FLOOR))
+    graph = _two_legs(50.0, 0.0, 50.0, 0.0)
+    for composition in LossComposition:
+        alt = best_bandwidth_alternates(graph, composition)[("a", "b")]
+        assert alt.value == mathis_bandwidth_kbps(100.0, LOSS_FLOOR)
 
 
 def test_optimistic_alternates_dominate_pessimistic(mini_transfers):
@@ -51,7 +76,7 @@ def test_optimistic_alternates_dominate_pessimistic(mini_transfers):
     pes = best_bandwidth_alternates(graph, LossComposition.PESSIMISTIC)
     assert opt.keys() == pes.keys()
     for pair in opt:
-        assert opt[pair].bandwidth_kbps >= pes[pair].bandwidth_kbps - 1e-9
+        assert opt[pair].value >= pes[pair].value - 1e-9
 
 
 def test_alternates_structure(mini_transfers):
@@ -60,12 +85,20 @@ def test_alternates_structure(mini_transfers):
     assert alternates
     for (src, dst), alt in alternates.items():
         assert alt.src == src and alt.dst == dst
-        assert alt.via not in (src, dst)
-        assert alt.bandwidth_kbps > 0
+        (via,) = alt.via
+        assert via not in (src, dst)
+        assert alt.hops == ((src, via), (via, dst))
+        assert alt.value > 0
         # Composed RTT equals the two legs' means.
-        leg1 = graph.edge((src, alt.via)).aux["rtt_mean"]
-        leg2 = graph.edge((alt.via, dst)).aux["rtt_mean"]
-        assert alt.rtt_ms == pytest.approx(leg1 + leg2)
+        leg1, leg2 = (graph.edge(hop).aux for hop in alt.hops)
+        loss = LossComposition.PESSIMISTIC.combine(
+            leg1["loss_mean"], leg2["loss_mean"]
+        )
+        assert alt.value == pytest.approx(
+            mathis_bandwidth_kbps(
+                leg1["rtt_mean"] + leg2["rtt_mean"], max(loss, LOSS_FLOOR)
+            )
+        )
 
 
 def test_best_is_actually_best(mini_transfers):
@@ -86,7 +119,7 @@ def test_best_is_actually_best(mini_transfers):
             graph.edge((via, dst)).aux["loss_mean"],
             LossComposition.PESSIMISTIC,
         )
-        assert bw <= best.bandwidth_kbps + 1e-9
+        assert bw <= best.value + 1e-9
 
 
 def test_non_bandwidth_graph_rejected(mini_dataset):

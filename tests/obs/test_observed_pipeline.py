@@ -103,6 +103,7 @@ def test_trace_covers_all_instrumented_subsystems(
         "topology",
         "routing",
         "netsim",
+        "measurement",
         "datasets",
         "core",
         "service",

@@ -60,6 +60,21 @@ def test_analyze_bandwidth_metric(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().out
 
 
+def test_analyze_bandwidth_metric_on_traceroute_file_is_bad_usage(tmp_path, capsys):
+    out = tmp_path / "uw4b.jsonl"
+    assert main(
+        ["build", "--dataset", "UW4-B", "--seed", "61", "--scale", "0.02",
+         "-o", str(out)]
+    ) == 0
+    capsys.readouterr()
+    rc = main(["analyze", str(out), "--metric", "bandwidth"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "transfer" in captured.err
+
+
 def test_analyze_too_strict_min_samples(tmp_path, capsys):
     out = tmp_path / "d.jsonl"
     assert main(
