@@ -149,23 +149,35 @@ class ReproSession:
     ) -> "AnalysisResult":
         """Alternate-path analysis of one dataset under one metric.
 
+        Bandwidth follows ``repro analyze``: it runs
+        :func:`repro.core.analyze_bandwidth` under the pessimistic loss
+        composition unless ``composition=`` names another.
+
         Args:
             dataset: A Table 1 dataset name (built on demand) or an
                 already-built :class:`~repro.datasets.Dataset`.
             metric: A :class:`~repro.core.Metric` or its string value.
             min_samples: Per-pair sample floor; defaults to the paper's
-                30 scaled by the session's ``scale`` (floor 4).
-            **kwargs: Forwarded to :func:`repro.core.analyze`.
+                30 scaled by the session's ``scale`` (floor 4), and for
+                bandwidth to :func:`~repro.core.analyze_bandwidth`'s own.
+            **kwargs: Forwarded to :func:`repro.core.analyze`, or for
+                bandwidth to :func:`repro.core.analyze_bandwidth`.
         """
-        from repro.core import Metric, analyze
+        from repro.core import LossComposition, Metric, analyze, analyze_bandwidth
 
         target = self.dataset(dataset) if isinstance(dataset, str) else dataset
-        if min_samples is None:
-            min_samples = max(4, int(round(30 * self.scale)))
+        metric = Metric(metric)
         with self._observed():
-            return analyze(
-                target, Metric(metric), min_samples=min_samples, **kwargs
-            )
+            if metric is Metric.BANDWIDTH:
+                composition = LossComposition(
+                    kwargs.pop("composition", LossComposition.PESSIMISTIC)
+                )
+                if min_samples is not None:
+                    kwargs["min_samples"] = min_samples
+                return analyze_bandwidth(target, composition, **kwargs)
+            if min_samples is None:
+                min_samples = max(4, int(round(30 * self.scale)))
+            return analyze(target, metric, min_samples=min_samples, **kwargs)
 
     def reproduce(self, only: "set[str] | None" = None, **kwargs) -> dict:
         """Regenerate the paper's tables/figures; returns name -> artifact.

@@ -19,6 +19,7 @@ tests/measurement/test_batched_equivalence.py.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -52,7 +53,9 @@ class Campaign:
     Paths are resolved once up front (Internet paths are "generally
     dominated by a single route", Paxson 1996) and congestion state is
     taken per time bucket, so execution cost is a few vectorized draws
-    per probe.
+    per probe.  Campaigns sharing a resolver share its cached paths,
+    across topology mutations too (see
+    :class:`~repro.routing.forwarding.PathResolver`).
     """
 
     def __init__(
@@ -113,6 +116,7 @@ class Campaign:
         }
         with obs.span("measurement.campaign") as sp:
             sp.set("pairs", len(pairs))
+            resolved_before = self._resolver.resolved
             resolved = self._resolver.round_trips(pairs)
             self._unreachable = {
                 i for i, pair in enumerate(pairs) if pair not in resolved
@@ -129,21 +133,29 @@ class Campaign:
             if flap_model is None:
                 self._sampler = PathSampler(conditions, self._round_trips)
             else:
+                # The sampler reads a pair's secondary only while the
+                # model puts the pair on it, which a pair that is not
+                # flappy never is: its primary stands in.
                 secondaries = [
-                    self._round_trips[i]
-                    if i in self._unreachable
-                    else self._resolver.resolve_round_trip_secondary(a, b)
+                    self._resolver.resolve_round_trip_secondary(a, b)
+                    if i not in self._unreachable and flap_model.is_flappy(i)
+                    else self._round_trips[i]
                     for i, (a, b) in enumerate(pairs)
                 ]
                 self._sampler = DynamicPathSampler(
                     conditions, self._round_trips, secondaries, flap_model
                 )
-        self._tcp = TCPTransferSimulator(topo, self._round_trips)
+            sp.set("resolved", self._resolver.resolved - resolved_before)
         self._rate_limits = {
             h.name: h.icmp_rate_limit_per_min
             for h in topo.hosts
             if h.name in set(self._hosts) and h.rate_limits_icmp
         }
+
+    @cached_property
+    def _tcp(self) -> TCPTransferSimulator:
+        """The transfer simulator, built by the first transfer batch."""
+        return TCPTransferSimulator(self._topo, self._round_trips)
 
     def _placeholder_round_trip(self, a: str, b: str) -> RoundTripPath:
         """Inert stand-in path for an unreachable pair.

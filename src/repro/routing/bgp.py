@@ -52,7 +52,9 @@ class BGPTable:
     ``["solver"]`` holds the solver schedule built from
     :meth:`~repro.topology.network.Topology.relationship_index`.  Tables
     built over the same topology share both (results are a pure function
-    of the topology), and every AS-graph mutation drops the bag.
+    of the topology), and every AS-graph mutation drops the bag.  A table
+    reads the bag on every access, so one built before a mutation
+    answers like one built after it.
     """
 
     def __init__(self, topo: Topology) -> None:
@@ -61,11 +63,17 @@ class BGPTable:
             topo: The topology to route over.
         """
         self._topo = topo
-        self._routes: dict[int, RouteColumn] = topo.routing_cache(
-            "bgp"
-        ).setdefault("routes", {})
+
+    @property
+    def _routes(self) -> dict[int, RouteColumn]:
+        """The topology's current route store (``dest -> RouteColumn``)."""
+        return self._topo.routing_cache("bgp").setdefault("routes", {})
 
     # -- public API --------------------------------------------------------
+
+    def stored(self, dst_asn: int) -> RouteColumn | None:
+        """``dst_asn``'s converged route column, or None; never converges."""
+        return self._routes.get(dst_asn)
 
     def route(self, src_asn: int, dst_asn: int) -> BGPRoute | None:
         """Best route installed at ``src_asn`` toward ``dst_asn``.
@@ -93,7 +101,8 @@ class BGPTable:
                 siblings or a customer-provider cycle.
         """
         targets = sorted(self._topo.ases) if dests is None else sorted(set(dests))
-        missing = [d for d in targets if d not in self._routes]
+        routes = self._routes
+        missing = [d for d in targets if d not in routes]
         with obs.span("routing.bgp.converge_all") as sp:
             sp.set("destinations", len(targets))
             sp.set("converged", len(missing))
@@ -180,5 +189,6 @@ class BGPTable:
         index = self._solver()
         dest_idx = index.asn_index[dests]
         table = ColumnarRouteTable(index, dest_idx, *converge_columns(index, dest_idx))
+        routes = self._routes
         for dest in dests:
-            self._routes[dest] = table.column(dest)
+            routes[dest] = table.column(dest)

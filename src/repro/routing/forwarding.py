@@ -18,8 +18,10 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable
 
+from repro.obs import runtime as obs
 from repro.routing.bgp import BGPTable
 from repro.routing.igp import IGPSuite
 from repro.topology.geography import propagation_delay_ms
@@ -98,7 +100,21 @@ class RoundTripPath:
 
 
 class PathResolver:
-    """Resolves default paths between hosts under policy routing."""
+    """Resolves default paths between hosts under policy routing.
+
+    Resolved paths stay cached across topology mutations (scenario
+    events), and the cache is never stale.  A forward path is a function
+    of its BGP AS path, the exchange links of each AS adjacency along it
+    and the router/link substrate, so the first lookup after a mutation
+    drops exactly the cached primary and secondary paths whose AS path
+    changed or that cross an adjacency whose exchange links changed,
+    plus those adjacencies' egress rankings; a substrate change (an AS,
+    router or link added) drops everything.  The check reads only
+    converged BGP state: a path whose destination AS has no converged
+    column is dropped rather than converged alone, which is why
+    :meth:`round_trips` converges its batch first.  One resolver can
+    therefore serve a whole scenario walk.
+    """
 
     def __init__(
         self,
@@ -132,6 +148,11 @@ class PathResolver:
         self._egress_cache: dict[
             tuple[int, int, int, EgressPolicy, str | None], tuple[Link, ...]
         ] = {}
+        # The topology state the caches were last checked against.
+        self._mutations = topo.mutations
+        self._exchange = topo.exchange_index()
+        self._substrate = self._substrate_size()
+        self._resolved = 0
 
     @property
     def bgp(self) -> BGPTable:
@@ -143,22 +164,31 @@ class PathResolver:
         """The underlying per-AS IGP suite."""
         return self._igp
 
+    @property
+    def resolved(self) -> int:
+        """Paths resolved from scratch so far, primary and secondary."""
+        return self._resolved
+
     # -- resolution --------------------------------------------------------
 
     def resolve(self, src: str, dst: str) -> ForwardPath:
         """Resolve the unidirectional default path from ``src`` to ``dst``.
 
-        Results are cached; routing is static within a resolver.
+        Results are cached until a topology mutation changes them (see
+        the class docstring).
 
         Raises:
             ForwardingError: if the hosts are identical or unreachable.
         """
         if src == dst:
             raise ForwardingError("source and destination host are identical")
+        self._sync()
         key = (src, dst)
-        if key not in self._cache:
-            self._cache[key] = self._resolve_uncached(src, dst)
-        return self._cache[key]
+        path = self._cache.get(key)
+        if path is None:
+            path = self._cache[key] = self._resolve_uncached(src, dst)
+            self._resolved += 1
+        return path
 
     def resolve_secondary(self, src: str, dst: str) -> ForwardPath:
         """The pair's secondary path: the first AS hop offering several
@@ -172,12 +202,15 @@ class PathResolver:
         """
         if src == dst:
             raise ForwardingError("source and destination host are identical")
+        self._sync()
         key = (src, dst)
-        if key not in self._secondary_cache:
-            self._secondary_cache[key] = self._resolve_uncached(
+        path = self._secondary_cache.get(key)
+        if path is None:
+            path = self._secondary_cache[key] = self._resolve_uncached(
                 src, dst, demote_first_flexible=True
             )
-        return self._secondary_cache[key]
+            self._resolved += 1
+        return path
 
     def resolve_round_trip(self, src: str, dst: str) -> RoundTripPath:
         """Resolve both directions for an ordered host pair."""
@@ -192,7 +225,8 @@ class PathResolver:
         """Round trips for many ordered host pairs, in ``pairs`` order.
 
         The pairs' endpoint ASes are converged first in one
-        :meth:`BGPTable.converge_all` batch, so each resolution reads warm
+        :meth:`BGPTable.converge_all` batch, so each resolution, and the
+        staleness check the first one runs after a mutation, reads warm
         routing state.  Pairs with no policy-compliant route are left out.
         """
         pairs = list(pairs)
@@ -214,6 +248,66 @@ class PathResolver:
             forward=self.resolve_secondary(src, dst),
             reverse=self.resolve(dst, src),
         )
+
+    def _substrate_size(self) -> tuple[int, int, int]:
+        """AS, router and link counts: the substrate only ever grows."""
+        topo = self._topo
+        return (len(topo.ases), len(topo.routers), len(topo.links))
+
+    def _sync(self) -> None:
+        """Drop the cached state the topology's mutations since the last
+        check may have changed (see the class docstring)."""
+        topo = self._topo
+        if topo.mutations == self._mutations:
+            return
+        self._mutations = topo.mutations
+        exchange, substrate = topo.exchange_index(), self._substrate_size()
+        # Adjacencies whose exchange links changed; None when the
+        # substrate did, which may change every input.
+        changed = None if substrate != self._substrate else {
+            pair
+            for pair in exchange.keys() | self._exchange.keys()
+            if exchange.get(pair) != self._exchange.get(pair)
+        }
+        self._exchange, self._substrate = exchange, substrate
+        stale = self._stale_as_paths(changed)
+        kept = dropped = 0
+        for cache in (self._cache, self._secondary_cache):
+            for key in [key for key, path in cache.items() if path.as_path in stale]:
+                del cache[key]
+                dropped += 1
+            kept += len(cache)
+        for key in [
+            key
+            for key in self._egress_cache
+            if changed is None or frozenset(key[:2]) in changed
+        ]:
+            del self._egress_cache[key]
+        obs.count("routing.paths_kept", kept)
+        obs.count("routing.paths_dropped", dropped)
+
+    def _stale_as_paths(
+        self, changed: set[frozenset[int]] | None
+    ) -> set[tuple[int, ...]]:
+        """Cached AS paths that no longer hold: BGP now routes differently
+        (or the destination has no converged column to tell), or a hop
+        crosses an adjacency in ``changed`` (every path when None)."""
+        cached = {
+            path.as_path
+            for cache in (self._cache, self._secondary_cache)
+            for path in cache.values()
+        }
+        if changed is None:
+            return cached
+        hops = {hop for pair in changed for hop in permutations(pair)}
+        columns = {dst: self._bgp.stored(dst) for dst in {p[-1] for p in cached}}
+        return {
+            as_path
+            for as_path in cached
+            if (column := columns[as_path[-1]]) is None
+            or column.as_path(as_path[0]) != as_path
+            or not hops.isdisjoint(zip(as_path, as_path[1:]))
+        }
 
     def _resolve_uncached(
         self, src: str, dst: str, *, demote_first_flexible: bool = False

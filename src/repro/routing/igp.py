@@ -231,12 +231,18 @@ class IGPSuite:
     Tables are held in the topology's routing cache, so suites built over
     the same topology (one per :class:`~repro.routing.forwarding.PathResolver`)
     share them instead of recomputing identical shortest-path state; the
-    cache is cleared when the topology is mutated.
+    cache is cleared when an AS, router or link is added.  A suite
+    reads the bag on every access, so one built before a mutation
+    answers like one built after it.
     """
 
     def __init__(self, topo: Topology) -> None:
         self._topo = topo
-        self._tables: dict[int, IGPTable] = topo.routing_cache("igp")
+
+    @property
+    def _tables(self) -> dict[int, IGPTable]:
+        """The topology's current IGP table bag (``asn -> IGPTable``)."""
+        return self._topo.routing_cache("igp")
 
     def table(self, asn: int) -> IGPTable:
         """The IGP table for ``asn``, building it on first use.

@@ -5,8 +5,11 @@ splits the simulated horizon into *segments* at the scenario's topology
 boundaries, and runs one measurement :class:`~repro.measurement.collector.Campaign`
 per segment against the mutated topology — so probes during an outage see
 the rerouted (or absent) paths, and probes after a revert see the healed
-network.  Flap storms never touch the topology; they ride along as a
-:class:`StormFlapModel` wrapped around the ordinary route-flap process.
+network.  The baseline and every segment share one
+:class:`~repro.routing.forwarding.PathResolver`, which re-resolves only
+the paths each mutation changed.  Flap storms never touch the topology;
+they ride along as a :class:`StormFlapModel` wrapped around the ordinary
+route-flap process.
 
 The whole run is a pure function of ``(plan, seed)``: the same plan
 replayed, traced or not, yields a byte-identical dataset (asserted by
@@ -216,7 +219,9 @@ class ScenarioRun:
         )
         return sorted(edges)
 
-    def _baseline_paths(self) -> dict[tuple[str, str], PathInfo]:
+    def _baseline_paths(
+        self, resolver: PathResolver
+    ) -> dict[tuple[str, str], PathInfo]:
         """Default-route facts on the pristine topology (pre-scenario)."""
         pairs = [(a, b) for a in self.hosts for b in self.hosts if a != b]
         # Pristine disconnections are left out of the baselines.
@@ -228,7 +233,7 @@ class ScenarioRun:
                 hop_count=rt.forward.hop_count,
                 prop_delay_ms=rt.rtt_prop_ms,
             )
-            for (a, b), rt in PathResolver(self.topo).round_trips(pairs).items()
+            for (a, b), rt in resolver.round_trips(pairs).items()
         }
 
     def execute(self) -> tuple[Dataset, ScenarioReport]:
@@ -245,7 +250,8 @@ class ScenarioRun:
         return result
 
     def _execute(self) -> tuple[Dataset, ScenarioReport]:
-        baseline = self._baseline_paths()
+        resolver = PathResolver(self.topo)
+        baseline = self._baseline_paths(resolver)
         pair_names = [
             f"{a}->{b}" for a in self.hosts for b in self.hosts if a != b
         ]
@@ -272,7 +278,7 @@ class ScenarioRun:
                     self.topo,
                     self.conditions,
                     self.hosts,
-                    resolver=PathResolver(self.topo),
+                    resolver=resolver,
                     seed=self.seed + 7919 * (k + 1),
                     control_failure_prob=0.0,
                     flap_model=flap_model,

@@ -269,9 +269,7 @@ class ScenarioTimeline:
         """Revert every outstanding effect and rewind to the start.
 
         The topology is left exactly as constructed (adjacency order,
-        exchange-link index, route caches all pristine-equivalent);
-        resolvers built during the scenario remain stale and must be
-        rebuilt.
+        exchange-link index, route caches all pristine-equivalent).
         """
         for entry in reversed(self._applied):
             for undo in reversed(entry.undos):

@@ -247,6 +247,9 @@ class DetourService:
         )
         self.probe_interval_s = probe_interval_s
         self._mean_request_interval_s = mean_request_interval_s
+        # One resolver for the baseline and every replay segment: it
+        # re-resolves only the legs each mutation changed.
+        self._resolver = PathResolver(self.topo)
         self._baseline = self._baseline_paths()
         self.pairs = self._choose_pairs(n_pairs)
         self.candidates = self._discover_candidates(relays_per_pair)
@@ -262,7 +265,7 @@ class DetourService:
         cannot be candidate legs.
         """
         pairs = [(a, b) for a in self.hosts for b in self.hosts if a != b]
-        return PathResolver(self.topo).round_trips(pairs)
+        return self._resolver.round_trips(pairs)
 
     def _choose_pairs(self, n_pairs: int) -> tuple[Pair, ...]:
         """A deterministic sample of resolvable ordered pairs to serve."""
@@ -381,7 +384,7 @@ class DetourService:
         with obs.span("service.segment") as sp:
             sp.set("t", t)
             self.timeline.advance_to(t)
-            resolved = PathResolver(self.topo).round_trips(legs)
+            resolved = self._resolver.round_trips(legs)
             sp.set("legs_up", len(resolved))
         healed = (
             ()

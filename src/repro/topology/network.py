@@ -59,6 +59,11 @@ class Topology:
     _route_cache: dict[str, dict] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: Structural mutations so far: ASes, routers, links, adjacencies and
+    #: exchange-index entries added or removed (attaching a host is not
+    #: one).  Memoizers compare it to learn, in one read, whether they
+    #: need to re-check their state.
+    mutations: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -73,6 +78,7 @@ class Topology:
         self.ases[asys.asn] = asys
         self._rel_index = None
         self._route_cache.clear()
+        self.mutations += 1
         return asys
 
     def add_router(self, asn: int, city: City, role: RouterRole) -> Router:
@@ -87,6 +93,7 @@ class Topology:
         self.routers.append(router)
         self._as_routers[asn].append(router.router_id)
         self._route_cache.clear()
+        self.mutations += 1
         if role is RouterRole.CORE:
             key = (asn, city.name)
             if key in self._core_router:
@@ -131,6 +138,7 @@ class Topology:
         self._router_adj[link.u].append(link)
         self._router_adj[link.v].append(link)
         self._route_cache.clear()
+        self.mutations += 1
         return link
 
     def add_as_link(self, as_link: ASLink) -> ASLink:
@@ -165,6 +173,7 @@ class Topology:
         if asn_u == asn_v:
             raise TopologyError("exchange link endpoints must be in different ASes")
         self._exchange_links[frozenset((asn_u, asn_v))].append(link.link_id)
+        self.mutations += 1
 
     # -- scenario mutation -------------------------------------------------
     #
@@ -185,6 +194,7 @@ class Topology:
         """
         self._rel_index = None
         self._route_cache.pop("bgp", None)
+        self.mutations += 1
 
     def as_link_between(self, asn_a: int, asn_b: int) -> ASLink | None:
         """The BGP adjacency connecting two ASes, or None."""
@@ -245,9 +255,8 @@ class Topology:
         The :class:`Link` itself stays in :attr:`links` (the netsim
         substrate is fixed), so this only changes what
         :meth:`exchange_links_between` reports.  Forwarding-level state
-        only: routing caches are untouched, but :class:`PathResolver`
-        instances built before the change hold stale egress rankings and
-        must be rebuilt.
+        only: routing caches are untouched, since BGP never reads the
+        exchange index.
 
         Returns:
             The link's position in its index entry, for
@@ -267,6 +276,7 @@ class Topology:
         ids.pop(position)
         if not ids:
             del self._exchange_links[key]
+        self.mutations += 1
         return position
 
     def reattach_exchange_link(self, link_id: int, position: int) -> None:
@@ -289,6 +299,7 @@ class Topology:
                 f"exchange index position {position} out of range"
             )
         ids.insert(position, link_id)
+        self.mutations += 1
 
     def add_host(self, host: Host) -> Host:
         """Register a measurement host.
@@ -344,10 +355,13 @@ class Topology:
     def __getstate__(self):
         # Derived routing state is cheap to rebuild and can be large
         # (all-pairs IGP matrices, converged route sets); drop it so
-        # pickles shipped to worker processes stay lean.
+        # pickles shipped to worker processes stay lean.  The mutation
+        # count is history, not structure: equal topologies pickle alike
+        # however they were built.
         state = self.__dict__.copy()
         state["_rel_index"] = None
         state["_route_cache"] = {}
+        state["mutations"] = 0
         return state
 
     def relationship(self, asn: int, neighbor: int) -> Relationship | None:
@@ -384,6 +398,14 @@ class Topology:
         """Router-level exchange links realizing the (a, b) AS adjacency."""
         ids = self._exchange_links.get(frozenset((asn_a, asn_b)), [])
         return [self.links[i] for i in ids]
+
+    def exchange_index(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """A snapshot of the exchange index: AS pair -> exchange link ids.
+
+        Pairs without exchange links are absent; two snapshots differ at
+        exactly the pairs whose :meth:`exchange_links_between` differs.
+        """
+        return {key: tuple(ids) for key, ids in self._exchange_links.items() if ids}
 
     def host(self, name: str) -> Host:
         """Look up a host by name.

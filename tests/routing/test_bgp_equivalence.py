@@ -235,11 +235,17 @@ def test_shared_route_cache_reused_and_invalidated():
     # A second table over the same topology sees the converged store.
     second = BGPTable(topo)
     assert second._routes is first._routes
-    # Mutating the AS graph invalidates the shared store: a new table
-    # starts fresh and sees the new link.
+    before = first._routes
+    # Mutating the AS graph drops the shared store: every table, one
+    # built before the mutation included, starts fresh and sees the new
+    # link.
     city = get_city("chicago")
     topo.add_as(AutonomousSystem(asn=4, name="as4", tier=ASTier.TRANSIT, cities=[city]))
     topo.add_as_link(ASLink(a=1, b=4, rel_ab=Relationship.CUSTOMER, exchange_cities=("chicago",)))
     third = BGPTable(topo)
-    assert third._routes is not first._routes
-    assert third.as_path(4, 1) is not None
+    assert third._routes is not before
+    assert first._routes is third._routes
+    assert not third._routes
+    assert third.as_path(4, 1) == (4, 1)
+    assert first.as_path(4, 1) == (4, 1)
+    assert first.as_path(3, 1) == (3, 2, 1)

@@ -92,3 +92,36 @@ def test_removed_build_entry_points_are_gone():
         assert name not in getattr(module, "__all__", ())
     with pytest.raises(AttributeError):
         repro.no_such_symbol
+
+
+def test_analyze_bandwidth_follows_the_cli_rule(session, mini_transfers):
+    from repro.core import LossComposition, Metric, analyze_bandwidth
+
+    # Pessimistic composition and analyze_bandwidth's own sample floor
+    # unless the caller names them, as ``repro analyze`` does.
+    result = session.analyze(mini_transfers, "bandwidth")
+    expected = analyze_bandwidth(mini_transfers, LossComposition.PESSIMISTIC)
+    assert len(result) > 0
+    assert result.metric is Metric.BANDWIDTH
+    assert result.dataset_name == expected.dataset_name
+    assert repr(result.comparisons) == repr(expected.comparisons)
+    optimistic = session.analyze(
+        mini_transfers, Metric.BANDWIDTH, composition="optimistic", min_samples=40
+    )
+    expected = analyze_bandwidth(
+        mini_transfers, LossComposition.OPTIMISTIC, min_samples=40
+    )
+    assert optimistic.dataset_name == expected.dataset_name
+    assert repr(optimistic.comparisons) == repr(expected.comparisons)
+    assert len(optimistic) < len(result)
+
+
+def test_analyze_accepts_the_documented_prop_delay_name(session, mini_dataset):
+    from repro.core import Metric, analyze
+
+    result = session.analyze(mini_dataset, "prop-delay", min_samples=2)
+    expected = analyze(mini_dataset, Metric.PROP_DELAY, min_samples=2)
+    assert len(result) > 0
+    assert repr(result.comparisons) == repr(expected.comparisons)
+    with pytest.raises(ValueError):
+        session.analyze(mini_dataset, "prop")
